@@ -34,6 +34,7 @@ from repro.bench.reporting import BenchReport, banner, ms, ratio, scaled
 from repro.core.engine import TransformationEngine
 from repro.lang.ast_nodes import Loop
 from repro.lang.printer import format_program
+from repro.service import session as session_mod
 from repro.service.fingerprint import FingerprintMaintainer
 from repro.service.serde import state_fingerprint
 from repro.service.session import DurableSession
@@ -99,12 +100,13 @@ def test_e10_fingerprint_speedup():
 # ---------------------------------------------------------------------------
 
 
-def test_e10_delta_snapshots(tmp_path):
+def test_e10_delta_snapshots(tmp_path, monkeypatch):
     banner("E10 — snapshot cost: full payload vs delta payload")
     src = format_program(
         generate_program(SEED, GeneratorConfig(blocks=SIZES[-1])))
-    s = DurableSession.create(str(tmp_path / "sess"), src,
-                              snapshot_every=0, snapshot_full_every=64)
+    # one full snapshot followed only by deltas for the whole table
+    monkeypatch.setattr(session_mod, "SNAPSHOT_FULL_EVERY", 64)
+    s = DurableSession.create(str(tmp_path / "sess"), src, snapshot_every=0)
     apply_greedy(s.engine, 4, seed=SEED)
     _, full_s = _timed(s.snapshot)
     (fseq, fbase) = s.snapshots.entries()[-1]

@@ -73,8 +73,8 @@ def main() -> int:
     src = format_program(generate_program(SEED, GeneratorConfig(blocks=24)))
     profiler = Profiler(hz=HZ)
     with tempfile.TemporaryDirectory() as tmp:
-        session = DurableSession.create(
-            tmp + "/prof", src, snapshot_every=16, snapshot_full_every=4)
+        session = DurableSession.create(tmp + "/prof", src,
+                                        snapshot_every=16)
         profiler.start()
         done = drive(session, n_commands)
         profiler.stop()

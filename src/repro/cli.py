@@ -667,8 +667,7 @@ def _main_prof(argv: List[str]) -> int:
     commands = 0
     try:
         session = DurableSession.create(
-            os.path.join(scratch, "session"), source,
-            snapshot_every=16, snapshot_full_every=4)
+            os.path.join(scratch, "session"), source, snapshot_every=16)
         profiler.start()
         deadline = time.perf_counter() + seconds
         while time.perf_counter() < deadline:

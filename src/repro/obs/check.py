@@ -11,15 +11,9 @@ tag matches it.
 :func:`trace_roundtrip` performs that join for one session directory;
 the CLI surfaces it as ``python -m repro trace ROOT NAME --check``.
 
-Two scoping notes, both deliberate:
-
-* the journal is truncated through the oldest retained snapshot, so the
-  check covers the current journal *tail* — the spans for truncated
-  records are still in ``trace.jsonl`` but no longer have a journal
-  side to join against;
-* recovery replay re-executes journaled commands, but those spans are
-  children of the ``recover`` span and are never annotated with a new
-  sequence number, so a reopened session does not double-count.
+Recovery replay re-executes journaled commands, but those spans are
+children of the ``recover`` span and are never annotated with a new
+sequence number, so a reopened session does not double-count.
 """
 
 from __future__ import annotations
@@ -43,7 +37,7 @@ def trace_path(dirpath: str) -> str:
 class RoundtripReport:
     """Outcome of joining one session's journal against its trace."""
 
-    #: journal records examined (the current journal tail).
+    #: journal records examined (the whole journal).
     checked: int = 0
     #: spans carrying a ``seq`` annotation (committed command spans).
     command_spans: int = 0
@@ -69,7 +63,7 @@ def _cmd_stamp(cmd: Dict[str, Any]) -> Optional[int]:
 
 
 def trace_roundtrip(dirpath: str) -> RoundtripReport:
-    """Join a session's journal tail against its recorded spans."""
+    """Join a session's journal against its recorded spans."""
     # imported here, not at module top: obs must stay importable without
     # the service layer (the engine depends on obs, not vice versa)
     from repro.service.journal import scan_journal
@@ -203,18 +197,19 @@ def fleet_roundtrip(root: str) -> RoundtripReport:
 
 
 def audit_roundtrip(dirpath: str) -> RoundtripReport:
-    """Join a session's journal tail against its audit log.
+    """Join a session's journal against its audit log.
 
     The audit log (``audit.jsonl``, see :mod:`repro.obs.provenance`) is
-    appended once per journaled command, so the two must agree on the
-    journal tail: every journal record joins **exactly one** audit entry
+    appended once per journaled command, so the two must agree record
+    for record: every journal record joins **exactly one** audit entry
     with the same seq, op, order stamp, failure status, and — for undos
     — the same undone set.  Audit seqs must be unique and strictly
     increasing, which is precisely what recovery-replay double-logging
     would break (replayed commands would re-append entries with already
-    -used seqs).  Entries for truncated journal records are tolerated,
-    like the trace check; entries with a seq *beyond* the journal tail
-    are not — they describe commands the journal never committed.
+    -used seqs).  Every audit entry must join a journal record: one with
+    a seq *beyond* the journal's last describes a command the journal
+    never committed, and one inside it describes a record the journal
+    lost.
 
     Reuses :class:`RoundtripReport`; ``command_spans`` counts audit
     entries here.
@@ -243,10 +238,7 @@ def audit_roundtrip(dirpath: str) -> RoundtripReport:
                 f"audit seq {seq}: unknown schema {entry.get('schema')!r}")
 
     journal_seqs = {rec.seq for rec in records}
-    if records and last_seq is not None and last_seq > records[-1].seq:
-        report.problems.append(
-            f"audit seq {last_seq} is beyond the journal tail "
-            f"(last journaled seq {records[-1].seq})")
+    last_journaled = records[-1].seq if records else 0
     for rec in records:
         report.checked += 1
         matches = by_seq.get(rec.seq, [])
@@ -282,13 +274,14 @@ def audit_roundtrip(dirpath: str) -> RoundtripReport:
                 report.problems.append(
                     f"seq {rec.seq}: audit batch has {len(a_subs)} "
                     f"sub-command(s), journal has {len(j_subs)}")
-    # every audit entry inside the journal window must have joined
-    if records:
-        first_seq = records[0].seq
-        for seq, group in by_seq.items():
-            if not isinstance(seq, int):
-                report.problems.append(f"audit entry with bad seq {seq!r}")
-            elif seq >= first_seq and seq not in journal_seqs:
-                report.problems.append(
-                    f"audit seq {seq} has no journal record")
+    # every audit entry must join a journal record
+    for seq in by_seq:
+        if not isinstance(seq, int):
+            report.problems.append(f"audit entry with bad seq {seq!r}")
+        elif seq > last_journaled:
+            report.problems.append(
+                f"audit seq {seq} is beyond the journal tail "
+                f"(last journaled seq {last_journaled})")
+        elif seq not in journal_seqs:
+            report.problems.append(f"audit seq {seq} has no journal record")
     return report

@@ -132,8 +132,8 @@ def _tree_order(spans: List[Dict[str, Any]],
                 base_depth: int = 0) -> List[Dict[str, Any]]:
     """One origin's spans of one request, in parent/child DFS order.
 
-    Roots (no parent, or a parent outside this span set — e.g. the
-    journal tail was truncated) come in ``start`` order; children
+    Roots (no parent, or a parent outside this span set — e.g. a torn
+    trace line was dropped) come in ``start`` order; children
     likewise, which is safe because all spans here share a process.
     """
     by_id = {s.get("id"): s for s in spans}

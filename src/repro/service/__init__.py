@@ -8,9 +8,10 @@ memory.  This package makes engine sessions *durable* and *concurrent*:
 * :mod:`repro.service.serde` — versioned, checksummed JSON codecs for
   programs, annotation stores, history records, and the event log;
 * :mod:`repro.service.journal` — an append-only write-ahead journal of
-  session commands (JSON lines, batched fsync, torn-tail detection);
-* :mod:`repro.service.snapshot` — atomic full-state snapshots with
-  journal truncation;
+  session commands (JSON lines, batched fsync, torn-tail detection),
+  the session's only command history;
+* :mod:`repro.service.snapshot` — atomic full and delta engine-state
+  snapshots that bound reopen latency;
 * :mod:`repro.service.recovery` — reopen = latest valid snapshot +
   journal-tail replay through the real engine, optionally verified
   against a from-scratch replay;

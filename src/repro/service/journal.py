@@ -44,9 +44,8 @@ def fsync_dir(dirpath: str) -> None:
     """fsync a directory so a preceding ``os.replace`` survives power loss.
 
     POSIX only guarantees a rename is durable once the parent directory
-    entry itself is flushed; without this, a crash can leave the *new*
-    journal durable but the snapshot rename lost (or vice versa),
-    opening a recovery gap.  Platforms that cannot open a directory for
+    entry itself is flushed; without this, a crash can lose a snapshot
+    or migrated-journal rename the caller already relied on.  Platforms that cannot open a directory for
     reading (e.g. Windows) skip silently — there the guarantee degrades
     to process-crash safety, as documented in docs/PERSISTENCE.md.
     """
@@ -147,7 +146,8 @@ def repair_journal(path: str) -> Tuple[List[JournalRecord], int]:
 
 
 def rewrite_journal(path: str, records: List[JournalRecord]) -> None:
-    """Atomically replace a journal's contents (snapshot truncation).
+    """Atomically replace a journal's contents (the one-shot migration
+    of :func:`repro.service.recovery.migrate_journal`).
 
     Written to a temp file, fsynced, then ``os.replace``d so a crash
     leaves either the old or the new journal — never a mix.
@@ -215,8 +215,8 @@ class Journal:
     def truncate_through(self, seq: int) -> None:
         """Drop every record with ``seq`` at or below the given one.
 
-        Called after a snapshot covering commands up to ``seq`` has been
-        durably written; the journal then only carries the tail.
+        Unused by sessions (the journal is their whole history); kept
+        because ``perfbench/layertrace.py`` wraps it by name.
         """
         self.sync()
         self._fh.close()

@@ -5,21 +5,23 @@ Reopening a durable session:
 1. **Repair** the journal — a crash mid-append leaves a torn final
    record, which is detected and cleanly truncated
    (:func:`repro.service.journal.repair_journal`).
-2. **Load** the latest *valid* snapshot (corrupt ones are skipped); if
+2. **Migrate** a directory whose snapshots still carry the command
+   list, once (:func:`migrate_journal`).
+3. **Load** the latest *valid* snapshot (corrupt ones are skipped); if
    none exists, start from the session's genesis program source.
-3. **Replay** the journal tail — every command with a sequence number
+4. **Replay** the journal tail — every command with a sequence number
    beyond the snapshot — through the *real* engine.  Replay is not a
    simulation: it runs the same ``find``/``apply``/``undo`` code paths
    the original session ran, including commands that failed (a failed
    apply consumed an order stamp; re-failing it keeps stamps aligned).
-4. Optionally **verify**: rebuild a second engine by replaying the
-   *entire* command history from the genesis source and compare
-   semantic fingerprints.  The cumulative command list travels inside
-   each snapshot precisely so this check survives journal truncation.
+5. Optionally **verify**: rebuild a second engine by replaying the
+   whole journal — never truncated, it holds every command from seq 1
+   — from the genesis source and compare semantic fingerprints.
 
 The recovery invariant (tested property): for any byte-truncation of
 the journal, recovery yields the state produced by some *prefix* of the
-committed command sequence — never a torn or mixed state.
+committed command sequence — never a torn or mixed state — and never
+less than the newest valid snapshot covers.
 """
 
 from __future__ import annotations
@@ -41,10 +43,11 @@ from repro.service.journal import (
     JournalRecord,
     fsync_dir,
     repair_journal,
-    scan_journal,
+    rewrite_journal,
 )
 from repro.service.serde import (
     KIND_META,
+    SerdeError,
     engine_from_doc,
     state_fingerprint,
     unwrap,
@@ -155,13 +158,40 @@ def replay_from_scratch(source: str, commands: List[Dict[str, Any]],
 # ---------------------------------------------------------------------------
 
 
+def migrate_journal(journal_path: str, records: List[JournalRecord],
+                    store: SnapshotStore) -> List[JournalRecord]:
+    """Move the history of an older session directory into its journal.
+
+    Older directories kept the commands since genesis in every full
+    snapshot (``commands``) and truncated the journal after each one.
+    When the journal does not start at seq 1, the oldest readable full
+    snapshot's ``commands`` plus the journal records after it atomically
+    replace the journal.  Returns the records now on disk.
+    """
+    if records and records[0].seq == 1:
+        return records
+    for seq, base in store.entries():
+        if base is not None:
+            continue
+        try:
+            payload = store.load(seq)
+        except SerdeError:
+            continue
+        if "commands" not in payload:
+            return records
+        history = [JournalRecord(i, cmd)
+                   for i, cmd in enumerate(payload["commands"], start=1)]
+        history += [r for r in records if r.seq > len(history)]
+        rewrite_journal(journal_path, history)
+        return history
+    return records
+
+
 @dataclass
 class RecoveryResult:
     """What one :func:`recover` call reconstructed, with work stats."""
 
     engine: TransformationEngine
-    #: cumulative encoded command history since genesis.
-    commands: List[Dict[str, Any]] = field(default_factory=list)
     #: sequence number of the last applied command.
     seq: int = 0
     #: commands replayed through the live engine (the journal tail).
@@ -170,8 +200,6 @@ class RecoveryResult:
     snapshot_seq: Optional[int] = None
     #: bytes dropped when truncating a torn journal tail.
     torn_bytes: int = 0
-    #: journal records already covered by the snapshot (skipped).
-    stale_skipped: int = 0
     #: result of the optional from-scratch verification.
     verified: Optional[bool] = None
     meta: Dict[str, Any] = field(default_factory=dict)
@@ -183,11 +211,12 @@ def recover(dirpath: str, *, strategy: Optional[UndoStrategy] = None,
             ) -> RecoveryResult:
     """Reconstruct a session's engine from its directory.
 
-    ``verify=True`` additionally replays the *whole* command history
-    from the genesis source into a second engine and requires the two
-    semantic fingerprints to match (raising :class:`RecoveryError`
-    otherwise) — the recovered state must be indistinguishable from one
-    that never crashed.
+    ``verify=True`` additionally replays the *whole* journal from the
+    genesis source into a second engine and requires the two semantic
+    fingerprints to match (raising :class:`RecoveryError` otherwise) —
+    the recovered state must be indistinguishable from one that never
+    crashed.  So does a journal missing any seq up to the recovered one,
+    which only losing fsynced data can cause.
 
     ``tracer``/``metrics`` land on the rebuilt engine, and the whole
     reconstruction runs inside one ``recover`` span — the replayed
@@ -203,25 +232,23 @@ def recover(dirpath: str, *, strategy: Optional[UndoStrategy] = None,
         strategy = strategy_from_doc(meta["strategy"])
 
     with tracer.span("recover") as span:
-        records, torn_bytes = repair_journal(
-            os.path.join(dirpath, JOURNAL_FILE))
-        snap = SnapshotStore(os.path.join(dirpath, SNAPSHOT_DIR),
-                             metrics=metrics).latest()
+        journal_path = os.path.join(dirpath, JOURNAL_FILE)
+        records, torn_bytes = repair_journal(journal_path)
+        store = SnapshotStore(os.path.join(dirpath, SNAPSHOT_DIR),
+                              metrics=metrics)
+        records = migrate_journal(journal_path, records, store)
+        snap = store.latest()
 
         if snap is not None:
             snap_seq, payload = snap
             engine = engine_from_doc(payload["engine"], strategy=strategy)
-            base_commands: List[Dict[str, Any]] = list(payload["commands"])
             tail = [r for r in records if r.seq > snap_seq]
-            stale = len(records) - len(tail)
             seq = snap_seq
         else:
             snap_seq = None
             engine = TransformationEngine(parse_program(meta["source"]),
                                           strategy=strategy)
-            base_commands = []
             tail = records
-            stale = 0
             seq = 0
         engine.tracer = tracer
         engine.metrics = registry
@@ -244,18 +271,23 @@ def recover(dirpath: str, *, strategy: Optional[UndoStrategy] = None,
                        "end-to-end session recovery latency").observe(
                            time.perf_counter() - started)
 
-    commands = base_commands + [r.cmd for r in tail]
-    result = RecoveryResult(engine=engine, commands=commands, seq=seq,
-                            replayed=len(tail), snapshot_seq=snap_seq,
-                            torn_bytes=torn_bytes, stale_skipped=stale,
+    result = RecoveryResult(engine=engine, seq=seq, replayed=len(tail),
+                            snapshot_seq=snap_seq, torn_bytes=torn_bytes,
                             meta=meta)
     if verify:
-        fresh = replay_from_scratch(meta["source"], commands,
+        have = {r.seq for r in records}
+        missing = [s for s in range(1, seq + 1) if s not in have]
+        if missing:
+            raise RecoveryError(
+                f"cannot verify: the journal is missing seq(s) "
+                f"{missing[0]}..{missing[-1]} ({len(missing)} of 1..{seq})")
+        fresh = replay_from_scratch(meta["source"],
+                                    [r.cmd for r in records],
                                     strategy=strategy)
         result.verified = (state_fingerprint(fresh)
                            == state_fingerprint(engine))
         if not result.verified:
             raise RecoveryError(
                 "recovered state diverges from a from-scratch replay of "
-                f"{len(commands)} command(s)")
+                f"{len(records)} command(s)")
     return result

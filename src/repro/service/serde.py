@@ -649,8 +649,6 @@ def engine_from_doc(doc: Dict[str, Any], strategy=None):
 # ``events_tail``       events emitted since the base
 #                       (``events_base`` = base event count, a sanity
 #                       check against resolving over the wrong base);
-# ``commands_tail``     commands since the base (``commands_base``
-#                       likewise);
 # ``applier``           full applier counters (tiny — always shipped).
 #
 # Resolution is purely at the document level: no engine is constructed.
@@ -661,13 +659,12 @@ def resolve_snapshot_delta(base: Dict[str, Any],
     """Merge a delta snapshot payload over its base full payload.
 
     Returns a payload in full-snapshot form (``journal_seq``,
-    ``engine``, ``commands``).  Raises :class:`SerdeError` when the
+    ``engine``).  Raises :class:`SerdeError` when the
     delta's recorded base extents do not match the base payload — the
     symptom of a delta resolved against the wrong full snapshot.
     """
     try:
         base_engine = base["engine"]
-        base_commands = base["commands"]
         dprog = delta["program"]
         dhist = delta["history"]
         dops = delta["annotations_ops"]
@@ -702,23 +699,17 @@ def resolve_snapshot_delta(base: Dict[str, Any],
         else:
             raise SerdeError(f"unknown annotation op {op!r}")
 
-    # Events / commands: append-only tails with extent checks.
+    # Events: an append-only tail with an extent check.
     if len(base_engine["events"]) != delta["events_base"]:
         raise SerdeError(
             f"delta snapshot expects a base with {delta['events_base']} "
             f"events, found {len(base_engine['events'])}")
     events_doc = list(base_engine["events"]) + list(delta["events_tail"])
-    if len(base_commands) != delta["commands_base"]:
-        raise SerdeError(
-            f"delta snapshot expects a base with {delta['commands_base']} "
-            f"commands, found {len(base_commands)}")
-    commands = list(base_commands) + list(delta["commands_tail"])
 
     engine_doc = {"program": program_doc, "history": history_doc,
                   "annotations": anns, "events": events_doc,
                   "applier": delta["applier"]}
-    return {"journal_seq": delta["journal_seq"], "engine": engine_doc,
-            "commands": commands}
+    return {"journal_seq": delta["journal_seq"], "engine": engine_doc}
 
 
 def state_fingerprint(engine) -> str:

@@ -4,15 +4,16 @@
 persistence stack: every committed logical command — apply, undo,
 reverse-undo, edit, including *failed* ones that consumed an order stamp
 — is appended to a write-ahead journal before control returns to the
-caller, and a snapshot is taken every ``snapshot_every`` commands (after
-which the journal is truncated to the tail).  Every
-``snapshot_full_every``-th snapshot serializes the whole engine; the
-ones between are *deltas* against the last full snapshot — only the
-statements touched by events since then, the dirty history records, and
-the annotation/event/command tails — so steady-state snapshot cost is
-O(commands since the last full), not O(program + history).  Killing the
-process at any instant and calling :meth:`DurableSession.open`
-reconstructs the exact engine state via
+caller.  The journal is the session's only command history: it is never
+truncated, so ``log`` and ``recover(verify=True)`` read it from seq 1.
+A snapshot is taken every ``snapshot_every`` commands to bound reopen
+latency.  Every :data:`SNAPSHOT_FULL_EVERY`-th snapshot serializes the
+whole engine; the ones between are *deltas* against the last full
+snapshot — only the statements touched by events since then, the dirty
+history records, and the annotation/event tails — so steady-state
+snapshot cost is O(commands since the last full), not
+O(program + history).  Killing the process at any instant and calling
+:meth:`DurableSession.open` reconstructs the exact engine state via
 :func:`repro.service.recovery.recover`.
 
 :class:`SessionManager` serves many named sessions from one root
@@ -48,7 +49,7 @@ from repro.obs.check import trace_path
 from repro.obs.metrics import Histogram
 from repro.obs.provenance import audit_entry, audit_path
 from repro.obs.trace import Span, Tracer, annotate_request
-from repro.service.journal import Journal
+from repro.service.journal import Journal, scan_journal
 from repro.service.recovery import (
     JOURNAL_FILE,
     SNAPSHOT_DIR,
@@ -67,6 +68,10 @@ from repro.service.serde import (
     stmt_to_row,
 )
 from repro.service.snapshot import SnapshotStore
+
+#: every Nth snapshot a handle cuts is full; the ones between are deltas
+#: against the last full (1 disables delta snapshots).
+SNAPSHOT_FULL_EVERY = 4
 
 
 class SessionError(RuntimeError):
@@ -98,21 +103,14 @@ class DurableSession:
 
     def __init__(self, dirpath: str, engine: TransformationEngine,
                  meta: Dict[str, Any], seq: int,
-                 commands: List[Dict[str, Any]],
                  recovery: Optional[RecoveryResult] = None):
         self.dirpath = dirpath
         self.engine = engine
         self.meta = meta
         self.seq = seq
-        #: cumulative encoded command history since genesis (mirrors
-        #: snapshot payloads so the next snapshot can be cut any time).
-        self.commands = commands
         #: how the state was reconstructed (None for a fresh create).
         self.recovery = recovery
         self.snapshot_every = int(meta.get("snapshot_every", 32))
-        #: every Nth snapshot is full; the ones between are deltas
-        #: against the last full (1 disables delta snapshots).
-        self.snapshot_full_every = int(meta.get("snapshot_full_every", 4))
         self.snapshots = SnapshotStore(os.path.join(dirpath, SNAPSHOT_DIR),
                                        metrics=engine.metrics)
         self.journal = Journal(os.path.join(dirpath, JOURNAL_FILE),
@@ -121,7 +119,7 @@ class DurableSession:
         self._since_snapshot = 0
         # delta-snapshot state: the seq of the last full snapshot this
         # handle wrote, how many deltas followed it, and the engine-side
-        # cursors (event/oplog/mutation/command extents) captured when it
+        # cursors (event/oplog/mutation extents) captured when it
         # was cut.  None after open/create, so the first snapshot of any
         # handle is always full — deltas never cross a process boundary.
         self._last_full_seq: Optional[int] = None
@@ -171,7 +169,6 @@ class DurableSession:
     def create(cls, dirpath: str, source: str, *,
                strategy: Optional[UndoStrategy] = None,
                snapshot_every: int = 32,
-               snapshot_full_every: int = 4,
                fsync_every: int = 8) -> "DurableSession":
         """Initialise a new session directory around ``source``."""
         if os.path.exists(meta_path(dirpath)):
@@ -180,12 +177,11 @@ class DurableSession:
         strategy = strategy if strategy is not None else UndoStrategy()
         meta = {"source": source, "strategy": strategy_to_doc(strategy),
                 "snapshot_every": snapshot_every,
-                "snapshot_full_every": snapshot_full_every,
                 "fsync_every": fsync_every}
         write_meta(dirpath, meta)
         engine = TransformationEngine(program, strategy=strategy,
                                       tracer=_session_tracer(dirpath))
-        return cls(dirpath, engine, meta, seq=0, commands=[])
+        return cls(dirpath, engine, meta, seq=0)
 
     @classmethod
     def open(cls, dirpath: str, *, verify: bool = False,
@@ -194,7 +190,7 @@ class DurableSession:
         result = recover(dirpath, strategy=strategy, verify=verify,
                          tracer=_session_tracer(dirpath))
         return cls(dirpath, result.engine, result.meta, seq=result.seq,
-                   commands=list(result.commands), recovery=result)
+                   recovery=result)
 
     def close(self) -> None:
         """Detach from the engine and durably close the journal."""
@@ -283,7 +279,6 @@ class DurableSession:
                 journal_fsyncs=self.journal.syncs - syncs_before,
                 analysis_ms=sum(command.work.get("timers", {}).values())
                 * 1e3)
-            self.commands.append(enc)
             # audit AFTER the journal append so an audit entry never
             # describes a command the journal lost; a failure here
             # poisons the session exactly like a journal failure (the
@@ -302,47 +297,40 @@ class DurableSession:
             raise
 
     def snapshot(self) -> Optional[str]:
-        """Cut a snapshot (full or delta) now and truncate the journal.
+        """Cut a snapshot (full or delta) now.
 
         Returns the snapshot path, or ``None`` when there is nothing new
         to snapshot.  A delta is written when a full snapshot from this
-        handle is still on disk and fewer than ``snapshot_full_every - 1``
+        handle is still on disk and fewer than ``SNAPSHOT_FULL_EVERY - 1``
         deltas followed it; otherwise a full snapshot is cut and the
-        delta cursors reset.  The ordering is load-bearing: the snapshot
-        is durably written *before* the journal loses any records, and
-        the journal is truncated only through the *oldest* snapshot
-        retained after pruning (which keeps every retained delta's base
-        full, so the base always has the smallest retained seq) — so
-        every snapshot still on disk has its tail in the journal, and
-        :meth:`SnapshotStore.latest` falling back from a corrupt newest
-        snapshot can always replay forward from the older one.  A crash
-        between any two steps merely leaves extra journal records that
-        replay-by-seq skips.
+        delta cursors reset.  The ordering is load-bearing: the journal
+        is fsynced through ``seq`` *before* the snapshot is written and
+        renamed, and only then are old snapshots pruned — so a durable
+        snapshot never covers a command the journal could still lose.
+        The journal is never truncated, so a fallback from a corrupt
+        newest snapshot can always replay forward from an older one.
         """
         if self.seq == 0 or self.seq in self.snapshots.seqs():
             self._since_snapshot = 0
             return None
         on_disk = self.snapshots.seqs()
-        as_delta = (self.snapshot_full_every > 1
+        as_delta = (SNAPSHOT_FULL_EVERY > 1
                     and self._last_full_seq is not None
                     and self._full_cursors is not None
                     and self._last_full_seq in on_disk
-                    and self._deltas_since_full < self.snapshot_full_every - 1)
+                    and self._deltas_since_full < SNAPSHOT_FULL_EVERY - 1)
         with self.tracer.span("snapshot"):
+            self.journal.sync()
             if as_delta:
                 path = self.snapshots.write(self.seq, self._delta_payload(),
                                             base=self._last_full_seq)
                 self._deltas_since_full += 1
             else:
                 payload = {"journal_seq": self.seq,
-                           "engine": engine_to_doc(self.engine),
-                           "commands": list(self.commands)}
+                           "engine": engine_to_doc(self.engine)}
                 path = self.snapshots.write(self.seq, payload)
                 self._mark_full()
             self.snapshots.prune(keep=2)
-            retained = self.snapshots.seqs()
-            if retained:
-                self.journal.truncate_through(retained[0])
         self._since_snapshot = 0
         return path
 
@@ -350,16 +338,14 @@ class DurableSession:
         """Record a just-written full snapshot and capture delta cursors.
 
         The cursors are the current extents of the engine's append-only
-        logs (events, annotation oplog, history mutation journal) and of
-        the command history; the next delta ships only what lies beyond
-        them.
+        logs (events, annotation oplog, history mutation journal); the
+        next delta ships only what lies beyond them.
         """
         self._last_full_seq = self.seq
         self._deltas_since_full = 0
         self._full_cursors = {"events": len(self.engine.events),
                               "anns": len(self.engine.store.oplog),
-                              "hist": len(self.engine.history.mutations),
-                              "cmds": len(self.commands)}
+                              "hist": len(self.engine.history.mutations)}
 
     def _delta_payload(self) -> Dict[str, Any]:
         """Build a delta payload against the last full snapshot.
@@ -410,8 +396,6 @@ class DurableSession:
             "annotations_ops": ops,
             "events_tail": [event_to_doc(e) for e in tail],
             "events_base": cursors["events"],
-            "commands_tail": list(self.commands[cursors["cmds"]:]),
-            "commands_base": cursors["cmds"],
             "applier": {"next_action_id": applier.next_action_id,
                         "applied": applier.applied_count,
                         "inverted": applier.inverted_count},
@@ -532,8 +516,9 @@ class DurableSession:
         return self.engine.source(show_labels=show_labels)
 
     def log(self) -> List[Dict[str, Any]]:
-        """The committed command history (encoded form) since genesis."""
-        return list(self.commands)
+        """Every committed command (encoded form), read from the journal."""
+        records, _valid, _torn = scan_journal(self.journal.path)
+        return [rec.cmd for rec in records]
 
     def metrics(self) -> Dict[str, Any]:
         """Persistence + analysis-work + latency stats for this session.
@@ -544,7 +529,7 @@ class DurableSession:
         span sink's histogram resolution.
         """
         return {"seq": self.seq,
-                "commands": len(self.commands),
+                "commands": self.seq,
                 "active": len(self.engine.history.active()),
                 "journal_records_written": self.journal.records_written,
                 "journal_bytes_written": self.journal.bytes_written,
@@ -577,8 +562,7 @@ class SessionManager:
                    "snapshots_written", "spans_recorded", "spans_dropped")
 
     def __init__(self, root: str, *, max_live: int = 8,
-                 snapshot_every: int = 32, snapshot_full_every: int = 4,
-                 fsync_every: int = 8,
+                 snapshot_every: int = 32, fsync_every: int = 8,
                  strategy: Optional[UndoStrategy] = None,
                  metrics: Optional[obs_metrics.MetricsRegistry] = None):
         if max_live < 1:
@@ -586,7 +570,6 @@ class SessionManager:
         self.root = root
         self.max_live = max_live
         self.snapshot_every = snapshot_every
-        self.snapshot_full_every = snapshot_full_every
         self.fsync_every = fsync_every
         self.strategy = strategy
         self.metrics_registry = metrics if metrics is not None \
@@ -625,7 +608,6 @@ class SessionManager:
             session = DurableSession.create(
                 self.path_for(name), source, strategy=self.strategy,
                 snapshot_every=self.snapshot_every,
-                snapshot_full_every=self.snapshot_full_every,
                 fsync_every=self.fsync_every)
             self.analytics.attach(session.engine)
             self._live[name] = (session, threading.RLock())

@@ -13,16 +13,15 @@ carries:
     commands at or below this seq are inside the snapshot;
 ``engine``
     the full serialized engine state
-    (:func:`repro.service.serde.engine_to_doc`);
-``commands``
-    the cumulative logical-command history since session genesis —
-    kept so recovery can *verify* the restored state against a
-    from-scratch replay even after the journal was truncated.
+    (:func:`repro.service.serde.engine_to_doc`).
+
+A snapshot holds no command history: the journal, never truncated, is
+the only copy, and recovery verifies against a replay of it.
 
 A **delta** snapshot is ``snap-<seq>-d<base>.json``: only what changed
 since the full snapshot at ``base`` — the flat program rows of touched
-statements, the dirty history records, the annotation-oplog tail, the
-event-log tail, and the command tail (see
+statements, the dirty history records, the annotation-oplog tail, and
+the event-log tail (see
 :func:`repro.service.serde.resolve_snapshot_delta`).  :meth:`latest`
 resolves a delta against its base transparently, so consumers always
 receive a full payload.  Sessions fall back to a periodic full snapshot

@@ -16,6 +16,7 @@ and delta-snapshot resolution failure modes.
 
 import json
 import os
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +34,7 @@ from repro.lang.ast_nodes import (
     stmt_hash,
     stmt_hash_fresh,
 )
+from repro.service import session as session_mod
 from repro.service.fingerprint import FingerprintMaintainer
 from repro.service.serde import (
     SerdeError,
@@ -182,9 +184,10 @@ def test_delta_snapshot_recovery_matches_full(tmp_path_factory, seed):
     dirs = {"full": str(base / "full"), "delta": str(base / "delta")}
     fingerprints = {}
     for mode, full_every in (("full", 1), ("delta", 3)):
-        s = DurableSession.create(dirs[mode], src, snapshot_every=2,
-                                  snapshot_full_every=full_every)
-        _drive(s, seed + 1, 5, 2)
+        s = DurableSession.create(dirs[mode], src, snapshot_every=2)
+        with mock.patch.object(session_mod, "SNAPSHOT_FULL_EVERY",
+                               full_every):
+            _drive(s, seed + 1, 5, 2)
         fingerprints[mode] = state_fingerprint(s.engine)
         files = os.listdir(os.path.join(dirs[mode], "snapshots"))
         if mode == "delta" and s.snapshots.written >= 2:
@@ -214,8 +217,7 @@ class TestRowCodec:
 
 class TestDeltaResolution:
     def _payloads(self, tmp_path):
-        s = DurableSession.create(str(tmp_path), SRC, snapshot_every=0,
-                                  snapshot_full_every=4)
+        s = DurableSession.create(str(tmp_path), SRC, snapshot_every=0)
         s.apply("ctp", 0)
         s.snapshot()  # full
         s.apply("cse", 0)
@@ -253,8 +255,7 @@ class TestDeltaResolution:
             resolve_snapshot_delta(full, broken)
 
     def test_corrupt_delta_falls_back_to_base(self, tmp_path):
-        s = DurableSession.create(str(tmp_path), SRC, snapshot_every=0,
-                                  snapshot_full_every=4)
+        s = DurableSession.create(str(tmp_path), SRC, snapshot_every=0)
         s.apply("ctp", 0)
         s.snapshot()
         s.apply("cse", 0)

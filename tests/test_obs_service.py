@@ -435,8 +435,6 @@ class TestTraceCli:
         assert len(capsys.readouterr().out.strip().splitlines()) == 1
 
     def test_trace_check_fails_on_tampered_stream(self, tmp_path, capsys):
-        # snapshot_every=0 keeps the journal tail populated (the CLI's
-        # one-shot path snapshots on close, which truncates it)
         root = str(tmp_path / "root")
         dirpath = os.path.join(root, "s1")
         session = DurableSession.create(dirpath, SRC, snapshot_every=0)

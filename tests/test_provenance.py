@@ -342,6 +342,19 @@ class TestAuditLog:
         assert not report.ok
         assert any("beyond the journal tail" in p for p in report.problems)
 
+    def test_roundtrip_detects_lost_journal_record(self, tmp_path):
+        # the journal is the whole history, so an audit entry below its
+        # first seq describes a record the journal lost
+        session = self.run_session(str(tmp_path))
+        session.close()
+        jpath = os.path.join(str(tmp_path), "journal.jsonl")
+        lines = open(jpath).read().splitlines()
+        with open(jpath, "w") as fh:
+            fh.write("\n".join(lines[1:]) + "\n")
+        report = audit_roundtrip(str(tmp_path))
+        assert not report.ok
+        assert "audit seq 1 has no journal record" in report.problems
+
     def test_batch_entry_nests_subcommand_payloads(self, tmp_path):
         from repro.core.commands import parse_batch
 
@@ -430,8 +443,6 @@ class TestCliExitCodes:
         assert capsys.readouterr().out.startswith("digraph")
 
     def test_audit_check_exit_codes(self, tmp_path, capsys):
-        # snapshot_every=0 keeps the journal tail populated (the CLI's
-        # one-shot path snapshots on close, which truncates it)
         root = str(tmp_path / "root")
         dirpath = os.path.join(root, "s")
         session = DurableSession.create(dirpath, CHAIN_SRC,

@@ -66,16 +66,50 @@ class TestDurableSession:
         # ...and the engine's cumulative counters were never clobbered
         assert s.engine.cache.counters.dataflow_runs >= cumulative
 
-    def test_manual_snapshot_truncates_journal(self, tmp_path):
+    def test_journal_stays_whole_across_snapshots(self, tmp_path):
+        from repro.service.journal import scan_journal
+
         s = DurableSession.create(str(tmp_path), SRC, snapshot_every=0)
         s.apply("cse", 0)
         s.apply("ctp", 0)
         assert s.snapshot() is not None
-        from repro.service.journal import scan_journal
+        s.undo(1)
+        assert s.snapshot() is not None
+        assert s.snapshot() is None  # nothing new to snapshot
         records, _, _ = scan_journal(
             os.path.join(str(tmp_path), "journal.jsonl"))
-        assert records == []
-        assert s.snapshot() is None  # nothing new to snapshot
+        assert [r.seq for r in records] == [1, 2, 3]
+        assert [c["op"] for c in s.log()] == ["apply", "apply", "undo"]
+        for seq in s.snapshots.seqs():
+            assert "commands" not in s.snapshots.load(seq)
+        s.close()
+        reopened = DurableSession.open(str(tmp_path), verify=True)
+        assert reopened.recovery.snapshot_seq == 3
+        assert [c["op"] for c in reopened.log()] == \
+            ["apply", "apply", "undo"]
+        assert reopened.metrics()["commands"] == 3
+        reopened.close()
+
+    def test_journal_fsynced_before_snapshot_written(self, tmp_path):
+        s = DurableSession.create(str(tmp_path), SRC, snapshot_every=0,
+                                  fsync_every=8)
+        s.apply("cse", 0)
+        s.apply("ctp", 0)
+        assert s.journal._unsynced == 2  # batched: not yet on disk
+        seen = []
+        write = s.snapshots.write
+
+        def checked_write(seq, payload, base=None):
+            seen.append((seq, s.journal._unsynced,
+                         os.path.exists(s.snapshots.path_for(seq, base))))
+            return write(seq, payload, base)
+
+        s.snapshots.write = checked_write
+        s.snapshot()
+        # the journal was fsynced through seq 2 before the snapshot
+        # file for seq 2 existed
+        assert seen == [(2, 0, False)]
+        s.close()
 
     def test_log_returns_encoded_history(self, tmp_path):
         s = DurableSession.create(str(tmp_path), SRC)
