@@ -14,7 +14,10 @@ incremental structures:
 2. **Snapshots.**  A delta snapshot persists only the statement rows
    whose subtrees changed since the last full snapshot, so steady-state
    snapshot cost is O(changes), not O(program).  Measured: bytes and
-   write latency of full vs. delta snapshots over one session.
+   write latency of full vs. delta snapshots over one session, plus the
+   envelope cost (``SnapshotStore.write`` of a full snapshot and
+   ``SnapshotStore.latest``) of a fixed 200-command session on the E8
+   program — the history every long-churn eviction snapshot holds.
 3. **Dependence queries.**  ``DependenceGraph.between`` walks adjacency
    lists of the smaller endpoint set and ``carried_by`` consults a
    loop-indexed table, instead of scanning every edge per query.
@@ -36,8 +39,9 @@ from repro.lang.ast_nodes import Loop
 from repro.lang.printer import format_program
 from repro.service import session as session_mod
 from repro.service.fingerprint import FingerprintMaintainer
-from repro.service.serde import state_fingerprint
+from repro.service.serde import engine_to_doc, state_fingerprint
 from repro.service.session import DurableSession
+from repro.service.snapshot import SnapshotStore
 from repro.workloads.generator import GeneratorConfig, generate_program
 from repro.workloads.scenarios import apply_greedy
 
@@ -46,6 +50,10 @@ REPORT = BenchReport("bench_e10_compact")
 SEED = 17
 SIZES = scaled([4, 8, 16, 32])  # generator blocks
 N_OPS = 6
+#: the E8 program; each apply/undo pair adds two commands to a session.
+TINY_SRC = "c = 1\nx = c + 2\nwrite x\n"
+TINY_COMMANDS = 200
+ENVELOPE_REPEATS = 7
 
 
 def _timed(fn):
@@ -130,6 +138,7 @@ def test_e10_delta_snapshots(tmp_path, monkeypatch):
     t.add("delta (mean of 4)", int(np.mean(delta_bytes)),
           ms(delta_s / len(delta_bytes)))
     t.show()
+    envelope_costs(str(tmp_path / "tiny"))
 
     bytes_ratio = float(np.mean(delta_bytes)) / full_bytes
     REPORT.value("delta_snapshot_bytes_ratio", round(bytes_ratio, 4))
@@ -140,6 +149,33 @@ def test_e10_delta_snapshots(tmp_path, monkeypatch):
     live = state_fingerprint(DurableSession.open(str(tmp_path / "sess"),
                                                  verify=True).engine)
     assert isinstance(live, str) and live
+
+
+def envelope_costs(dirpath: str) -> None:
+    """Median write and load time of one full snapshot of a fixed
+    200-command session (reported, not gated)."""
+    s = DurableSession.create(dirpath, TINY_SRC, snapshot_every=0)
+    for _ in range(TINY_COMMANDS // 2):
+        s.undo(s.apply("ctp", 0).stamp)
+    payload = {"journal_seq": s.seq, "engine": engine_to_doc(s.engine)}
+    store = SnapshotStore(os.path.join(dirpath, "envelope"))
+    write_s, latest_s = [], []
+    for _ in range(ENVELOPE_REPEATS):
+        write_s.append(_timed(lambda: store.write(s.seq, payload))[1])
+        latest, dt = _timed(store.latest)
+        assert latest == (s.seq, payload)
+        latest_s.append(dt)
+    s.close()
+    size = os.path.getsize(store.path_for(s.seq))
+    t = REPORT.table(
+        ["operation", "bytes", f"median of {ENVELOPE_REPEATS}"],
+        title=f"E10 — full snapshot envelope, {TINY_COMMANDS}-command "
+              "tiny session")
+    t.add("SnapshotStore.write", size, ms(float(np.median(write_s))))
+    t.add("SnapshotStore.latest", size, ms(float(np.median(latest_s))))
+    t.show()
+    REPORT.value("tiny_full_write_ms", round(1e3 * np.median(write_s), 3))
+    REPORT.value("tiny_latest_ms", round(1e3 * np.median(latest_s), 3))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.trace import Tracer
 from repro.service.journal import (
     JournalRecord,
-    fsync_dir,
     repair_journal,
     rewrite_journal,
 )
@@ -49,11 +48,10 @@ from repro.service.serde import (
     KIND_META,
     SerdeError,
     engine_from_doc,
+    loads_envelope,
     state_fingerprint,
-    unwrap,
-    wrap,
 )
-from repro.service.snapshot import SnapshotStore
+from repro.service.snapshot import SnapshotStore, write_envelope
 
 #: On-disk layout of one session directory.
 META_FILE = "session.json"
@@ -77,30 +75,21 @@ def meta_path(dirpath: str) -> str:
 
 def write_meta(dirpath: str, payload: Dict[str, Any]) -> None:
     """Durably write the session metadata envelope."""
-    import json
-
     os.makedirs(dirpath, exist_ok=True)
-    path = meta_path(dirpath)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(wrap(payload, KIND_META), fh)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    fsync_dir(dirpath)
+    write_envelope(meta_path(dirpath), payload, KIND_META)
 
 
 def read_meta(dirpath: str) -> Dict[str, Any]:
-    """Load and checksum-verify the session metadata."""
-    import json
+    """Load and checksum-verify the session metadata.
 
+    A missing, unreadable or corrupt file raises :class:`RecoveryError`.
+    """
     try:
-        with open(meta_path(dirpath), "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
+        with open(meta_path(dirpath), "rb") as fh:
+            return loads_envelope(fh.read(), KIND_META)
+    except (OSError, SerdeError) as exc:
         raise RecoveryError(
             f"no readable session metadata in {dirpath!r}: {exc}") from exc
-    return unwrap(doc, KIND_META)
 
 
 def strategy_to_doc(strategy: UndoStrategy) -> Dict[str, Any]:

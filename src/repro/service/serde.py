@@ -7,17 +7,23 @@ history (records, primitive actions, pre/post patterns), the event log,
 and the applier's id counters.  A restored engine can keep applying and
 undoing as if the process had never exited.
 
-Documents are wrapped in a small envelope::
+Documents on disk are wrapped in a small envelope: one JSON header
+line, then the payload's canonical text (:func:`canonical_dumps`)::
 
-    {"format": "<kind>", "version": 1,
-     "checksum": "<sha256 of the canonical payload>",
-     "payload": {...}}
+    {"format": "<kind>", "version": 2, "checksum": "<sha256>"}
+    {...payload...}
 
-:func:`unwrap` rejects unknown formats, future versions, and payloads
-whose checksum does not match — a half-written or bit-rotted snapshot
-is *detected*, never silently loaded (recovery then falls back to the
-previous snapshot or to journal replay, see
-:mod:`repro.service.recovery`).
+The checksum is the sha256 of exactly the payload bytes after the
+first newline.  :func:`dumps_envelope` renders the payload once, and
+:func:`loads_envelope` hashes the bytes it read and parses them once —
+neither re-renders the payload.  Version-1 files are one JSON object
+``{"format", "version": 1, "checksum", "payload"}`` whose checksum is
+over the canonical rendering of ``payload``; :func:`loads_envelope`
+still reads them, through :func:`unwrap`.  Both reject unknown
+formats, other versions, and payloads whose checksum does not match —
+a half-written or bit-rotted snapshot is *detected*, never silently
+loaded (recovery then falls back to the previous snapshot or to
+journal replay, see :mod:`repro.service.recovery`).
 
 Pre/post patterns and opportunity params are free-form dictionaries
 whose schema is owned by each transformation class, so they go through
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.actions import ActionKind, ActionRecord, HeaderSpec
 from repro.core.annotations import Annotation, AnnotationStore
@@ -57,7 +63,7 @@ from repro.lang.ast_nodes import (
 )
 
 #: On-disk format version; bump on incompatible schema changes.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Envelope kinds used across the service layer.
 KIND_SNAPSHOT = "repro-snapshot"
@@ -84,26 +90,58 @@ def checksum(payload: Any) -> str:
     return hashlib.sha256(canonical_dumps(payload).encode("utf-8")).hexdigest()
 
 
-def wrap(payload: Any, kind: str) -> Dict[str, Any]:
-    """Wrap a payload in the versioned, checksummed envelope."""
-    return {"format": kind, "version": FORMAT_VERSION,
-            "checksum": checksum(payload), "payload": payload}
+def dumps_envelope(payload: Any, kind: str) -> Tuple[bytes, bytes]:
+    """A payload's envelope as ``(header line, body)`` bytes.
+
+    The body is the payload's canonical text, rendered once; the header
+    carries its sha256.  Callers write the two parts back to back.
+    """
+    body = canonical_dumps(payload).encode("utf-8")
+    header = {"format": kind, "version": FORMAT_VERSION,
+              "checksum": hashlib.sha256(body).hexdigest()}
+    return (json.dumps(header) + "\n").encode("utf-8"), body
+
+
+def loads_envelope(data: bytes, kind: str) -> Any:
+    """Validate the bytes of an envelope file and return its payload.
+
+    A version-2 body is hashed as read and parsed once.  A version-1
+    file (one JSON object, no header line) goes through :func:`unwrap`.
+    """
+    head, _, body = data.partition(b"\n")
+    try:
+        doc = json.loads(head)
+    except ValueError as exc:
+        raise SerdeError(f"{kind} header unreadable: {exc}") from exc
+    if isinstance(doc, dict) and doc.get("version") == 1:
+        return unwrap(doc, kind)
+    _check_header(doc, kind, FORMAT_VERSION)
+    if hashlib.sha256(body).hexdigest() != doc.get("checksum"):
+        raise SerdeError(f"{kind} checksum mismatch (corrupt or torn write)")
+    try:
+        return json.loads(body)
+    except ValueError as exc:
+        raise SerdeError(f"{kind} payload unreadable: {exc}") from exc
 
 
 def unwrap(doc: Any, kind: str) -> Any:
-    """Validate an envelope and return its payload."""
+    """Validate a version-1 envelope object and return its payload."""
+    _check_header(doc, kind, 1)
+    payload = doc.get("payload")
+    if checksum(payload) != doc.get("checksum"):
+        raise SerdeError(f"{kind} checksum mismatch (corrupt or torn write)")
+    return payload
+
+
+def _check_header(doc: Any, kind: str, version: int) -> None:
+    """Reject an envelope header of another kind or version."""
     if not isinstance(doc, dict):
         raise SerdeError(f"expected a {kind} envelope, got {type(doc).__name__}")
     if doc.get("format") != kind:
         raise SerdeError(f"format mismatch: expected {kind!r}, "
                          f"got {doc.get('format')!r}")
-    version = doc.get("version")
-    if not isinstance(version, int) or version > FORMAT_VERSION or version < 1:
-        raise SerdeError(f"unsupported {kind} version {version!r}")
-    payload = doc.get("payload")
-    if checksum(payload) != doc.get("checksum"):
-        raise SerdeError(f"{kind} checksum mismatch (corrupt or torn write)")
-    return payload
+    if doc.get("version") != version:
+        raise SerdeError(f"unsupported {kind} version {doc.get('version')!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,13 @@ resolves a delta against its base transparently, so consumers always
 receive a full payload.  Sessions fall back to a periodic full snapshot
 so delta chains stay one link long.
 
-Writes are crash-safe (temp file + fsync + ``os.replace``), and
+Each file is a version-2 envelope
+(:func:`repro.service.serde.dumps_envelope`): a JSON header line with
+the sha256 of the payload text after it, so a write renders the payload
+once and a load hashes the bytes it read without rendering it again;
+version-1 files (one JSON object) are still read.  Writes are
+crash-safe (:func:`write_envelope`: temp file + fsync + ``os.replace``
++ directory fsync; ``session.json`` is written the same way), and
 :meth:`SnapshotStore.latest` skips snapshots whose envelope checksum
 does not verify — or whose base does not — falling back to older ones:
 a half-written snapshot degrades reopen latency, never correctness.
@@ -36,7 +42,6 @@ a half-written snapshot degrades reopen latency, never correctness.
 from __future__ import annotations
 
 import os
-import json
 import re
 import time
 from typing import Any, Dict, List, Optional, Tuple
@@ -46,12 +51,30 @@ from repro.service.journal import fsync_dir
 from repro.service.serde import (
     KIND_SNAPSHOT,
     SerdeError,
+    dumps_envelope,
+    loads_envelope,
     resolve_snapshot_delta,
-    unwrap,
-    wrap,
 )
 
 _SNAP_RE = re.compile(r"^snap-(\d{10})(?:-d(\d{10}))?\.json$")
+
+
+def write_envelope(path: str, payload: Any, kind: str) -> None:
+    """Durably replace ``path`` with the payload's envelope.
+
+    Header and body go out as two writes of the bytes
+    :func:`~repro.service.serde.dumps_envelope` rendered, so the file's
+    bytes are never copied into one buffer.
+    """
+    header, body = dumps_envelope(payload, kind)
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(header)
+        fh.write(body)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    fsync_dir(os.path.dirname(path))
 
 
 class SnapshotStore:
@@ -110,13 +133,7 @@ class SnapshotStore:
         started = time.perf_counter()
         os.makedirs(self.dirpath, exist_ok=True)
         path = self.path_for(seq, base)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(wrap(payload, KIND_SNAPSHOT), fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        fsync_dir(self.dirpath)
+        write_envelope(path, payload, KIND_SNAPSHOT)
         self.written += 1
         m = self.metrics
         m.counter("repro_snapshots_total", "snapshots durably written").inc()
@@ -131,11 +148,11 @@ class SnapshotStore:
     def load(self, seq: int) -> Dict[str, Any]:
         """Load and checksum-verify one snapshot (SerdeError on failure)."""
         try:
-            with open(self.path_for(seq), "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError) as exc:
+            with open(self.path_for(seq), "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
             raise SerdeError(f"snapshot {seq} unreadable: {exc}") from exc
-        return unwrap(doc, KIND_SNAPSHOT)
+        return loads_envelope(data, KIND_SNAPSHOT)
 
     def latest(self) -> Optional[Tuple[int, Dict[str, Any]]]:
         """The newest *valid* snapshot as ``(seq, payload)``, or ``None``.

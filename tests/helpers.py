@@ -7,6 +7,7 @@ from repro.lang.ast_nodes import programs_equal
 from repro.lang.interp import traces_equivalent
 from repro.lang.parser import parse_program
 from repro.lang.validate import validate_program
+from repro.service.serde import checksum
 
 
 def stmt_by_label(p, label):
@@ -15,6 +16,12 @@ def stmt_by_label(p, label):
         if s.label == label:
             return s
     raise KeyError(label)
+
+
+def v1_envelope(payload, kind):
+    """A version-1 envelope object, the on-disk form before version 2."""
+    return {"format": kind, "version": 1, "checksum": checksum(payload),
+            "payload": payload}
 
 
 def make_engine(src):

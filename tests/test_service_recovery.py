@@ -10,16 +10,21 @@ import pytest
 from repro.core.engine import TransformationEngine
 from repro.lang.parser import parse_program
 from repro.lang.printer import format_program
+from repro.service import session as session_mod
 from repro.service.journal import scan_journal
 from repro.service.recovery import (
     JOURNAL_FILE,
     RecoveryError,
+    meta_path,
+    read_meta,
     recover,
     replay_from_scratch,
 )
-from repro.service.serde import state_fingerprint
+from repro.service.serde import KIND_META, state_fingerprint
 from repro.service.session import DurableSession
+from repro.service.snapshot import SnapshotStore
 from repro.workloads.generator import generate_program
+from tests.helpers import v1_envelope
 
 SRC = (
     "c = 1\n"
@@ -186,6 +191,45 @@ class TestTruncationProperty:
                 assert recover(work, verify=True).verified is True
         assert below > 0  # the sweep reached cuts below the snapshot
 
+    @pytest.mark.parametrize("kind", ["full", "delta"])
+    def test_any_byte_truncation_of_a_snapshot_falls_back(
+            self, tmp_path, monkeypatch, kind):
+        """Cut the newest snapshot (a full one, or a delta) at every
+        byte offset: ``latest()`` skips it for the snapshot before it,
+        and the session still reopens verified (checked on a stride of
+        cuts and on both sides of the header line's end)."""
+        monkeypatch.setattr(session_mod, "SNAPSHOT_FULL_EVERY", 2)
+        sdir = str(tmp_path / "s")
+        session = DurableSession.create(sdir, SRC, snapshot_every=0)
+        session.apply("ctp", 0)
+        session.snapshot()  # full
+        session.apply("cse", 0)
+        session.snapshot()  # delta
+        session.undo(1)
+        session.snapshot()  # full
+        if kind == "delta":
+            session.apply("ctp", 0)
+            session.snapshot()  # delta
+        session.close()
+        (prev, _), (newest, base) = session.snapshots.entries()[-2:]
+        assert (base is not None) == (kind == "delta")
+        path = session.snapshots.path_for(newest, base)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        header_end = data.index(b"\n")
+        checked = {header_end, header_end + 1}
+        checked.update(range(0, len(data), max(1, len(data) // 40)))
+        for cut in range(len(data)):
+            with open(path, "wb") as fh:
+                fh.write(data[:cut])
+            store = SnapshotStore(os.path.dirname(path))
+            assert store.latest()[0] == prev
+            assert store.skipped_corrupt == 1
+            if cut in checked:
+                result = recover(sdir, verify=True)
+                assert result.snapshot_seq == prev
+                assert result.verified is True
+
 
 class TestFuzzedSequences:
     @pytest.mark.parametrize("seed", range(6))
@@ -278,15 +322,30 @@ class TestFuzzedSequences:
             state_fingerprint(session.engine)
 
     def test_meta_checksum_guard(self, tmp_path):
+        """A session.json whose payload no longer matches its checksum
+        fails recovery with RecoveryError, in both envelope versions."""
         import json
 
         sdir = str(tmp_path / "m")
         DurableSession.create(sdir, SRC).close()
-        meta = os.path.join(sdir, "session.json")
-        doc = json.load(open(meta))
+        meta = meta_path(sdir)
+        payload = read_meta(sdir)
+        with open(meta, "rb") as fh:
+            data = fh.read()
+        # version 2: one payload byte edited, the body still valid JSON
+        tampered = data.replace(b"c = 1", b"c = 7", 1)
+        assert tampered != data
+        json.loads(tampered.partition(b"\n")[2])
+        with open(meta, "wb") as fh:
+            fh.write(tampered)
+        with pytest.raises(RecoveryError, match="checksum mismatch"):
+            recover(sdir)
+        # version 1: the payload edited inside the single JSON object
+        doc = v1_envelope(payload, KIND_META)
         doc["payload"]["source"] = "tampered = 1\n"
-        json.dump(doc, open(meta, "w"))
-        with pytest.raises((RecoveryError, Exception)):
+        with open(meta, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(RecoveryError, match="checksum mismatch"):
             recover(sdir)
 
 

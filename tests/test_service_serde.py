@@ -1,23 +1,34 @@
 """Tests for the versioned, checksummed serialization layer."""
 
+import hashlib
+import json
+import os
+
 import pytest
 
-from tests.helpers import make_engine
+from tests.helpers import make_engine, v1_envelope
 from repro.edit.edits import EditSession
 from repro.lang.ast_nodes import programs_equal
 from repro.lang.printer import format_program
+from repro.service import serde
+from repro.service.recovery import meta_path, read_meta
 from repro.service.serde import (
+    KIND_META,
+    KIND_SNAPSHOT,
     SerdeError,
+    canonical_dumps,
+    dumps_envelope,
     engine_from_doc,
     engine_to_doc,
+    loads_envelope,
     program_from_doc,
     program_to_doc,
     state_fingerprint,
-    unwrap,
     value_from_doc,
     value_to_doc,
-    wrap,
 )
+from repro.service.session import DurableSession
+from repro.service.snapshot import SnapshotStore
 
 SRC = (
     "c = 1\n"
@@ -30,28 +41,96 @@ SRC = (
 )
 
 
+def v1_bytes(doc):
+    """A version-1 envelope object as its writer stored it."""
+    return json.dumps(doc).encode("utf-8")
+
+
 class TestEnvelope:
+    """The version-1 reader: one JSON object holding the payload."""
+
     def test_roundtrip(self):
-        doc = wrap({"a": [1, 2]}, "repro-snapshot")
-        assert unwrap(doc, "repro-snapshot") == {"a": [1, 2]}
+        doc = v1_envelope({"a": [1, 2]}, KIND_SNAPSHOT)
+        assert loads_envelope(v1_bytes(doc), KIND_SNAPSHOT) == {"a": [1, 2]}
 
     def test_checksum_tamper_detected(self):
-        doc = wrap({"a": 1}, "repro-snapshot")
+        doc = v1_envelope({"a": 1}, KIND_SNAPSHOT)
         doc["payload"]["a"] = 2
         with pytest.raises(SerdeError):
-            unwrap(doc, "repro-snapshot")
+            loads_envelope(v1_bytes(doc), KIND_SNAPSHOT)
 
     def test_wrong_kind_rejected(self):
-        doc = wrap({}, "repro-snapshot")
+        doc = v1_envelope({}, KIND_SNAPSHOT)
         with pytest.raises(SerdeError):
-            unwrap(doc, "repro-session-meta")
+            loads_envelope(v1_bytes(doc), KIND_META)
 
     def test_future_version_rejected(self):
-        doc = wrap({}, "repro-snapshot")
+        doc = v1_envelope({}, KIND_SNAPSHOT)
         doc["version"] = 99
-        doc["checksum"] = doc["checksum"]
         with pytest.raises(SerdeError):
-            unwrap(doc, "repro-snapshot")
+            loads_envelope(v1_bytes(doc), KIND_SNAPSHOT)
+
+
+class TestEnvelopeV2:
+    """A header line with the payload's sha256, then the payload text."""
+
+    @pytest.fixture()
+    def session_dir(self, tmp_path):
+        sdir = str(tmp_path / "s")
+        s = DurableSession.create(sdir, SRC, snapshot_every=0)
+        s.apply("ctp", 0)
+        s.snapshot()
+        s.close()
+        return sdir
+
+    def _snapshot_path(self, sdir):
+        store = SnapshotStore(os.path.join(sdir, "snapshots"))
+        (seq, base), = store.entries()
+        return store, seq, store.path_for(seq, base)
+
+    def test_layout_is_header_line_then_canonical_payload(self, session_dir):
+        store, seq, snap = self._snapshot_path(session_dir)
+        for path, kind, payload in (
+                (snap, KIND_SNAPSHOT, store.load(seq)),
+                (meta_path(session_dir), KIND_META, read_meta(session_dir))):
+            with open(path, "rb") as fh:
+                head, _, body = fh.read().partition(b"\n")
+            assert body == canonical_dumps(payload).encode("utf-8")
+            assert json.loads(head) == {
+                "format": kind, "version": 2,
+                "checksum": hashlib.sha256(body).hexdigest()}
+
+    def test_loading_never_renders_the_payload(self, session_dir,
+                                               monkeypatch):
+        store, seq, _ = self._snapshot_path(session_dir)
+
+        def no_render(payload):
+            raise AssertionError("the payload was rendered on load")
+
+        monkeypatch.setattr(serde, "canonical_dumps", no_render)
+        assert store.load(seq)["journal_seq"] == seq
+        assert read_meta(session_dir)["source"] == SRC
+
+    @staticmethod
+    def _reheader(data, **changes):
+        head, _, body = data.partition(b"\n")
+        doc = dict(json.loads(head), **changes)
+        return json.dumps(doc).encode("utf-8") + b"\n" + body
+
+    @pytest.mark.parametrize("damage", ["version 3", "wrong kind",
+                                        "flipped payload byte"])
+    def test_damaged_envelope_rejected(self, damage):
+        data = b"".join(dumps_envelope({"source": "c = 1\n"},
+                                       KIND_SNAPSHOT))
+        if damage == "version 3":
+            data = self._reheader(data, version=3)
+        elif damage == "wrong kind":
+            data = self._reheader(data, format=KIND_META)
+        else:
+            data = data.replace(b"c = 1", b"c = 2")
+            json.loads(data.partition(b"\n")[2])  # still valid JSON
+        with pytest.raises(SerdeError):
+            loads_envelope(data, KIND_SNAPSHOT)
 
 
 class TestProgramCodec:
@@ -102,8 +181,6 @@ class TestValueCodec:
         assert value_from_doc(value_to_doc(v)) == frozenset(v)
 
     def test_set_encoding_is_deterministic(self):
-        from repro.service.serde import canonical_dumps
-
         a = value_to_doc({("k", 1), "s", 2})
         b = value_to_doc({2, "s", ("k", 1)})
         assert canonical_dumps(a) == canonical_dumps(b)
