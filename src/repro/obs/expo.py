@@ -8,10 +8,11 @@ sidecar that serves all three from a daemon thread next to whichever
 front-end is running — it never touches the request path.
 
 The front is duck-typed: anything with ``expo_metrics_doc()`` /
-``expo_health()`` / ``expo_varz()`` works, which both
+``expo_health()`` / ``expo_varz()`` / ``expo_pprof()`` works.  Both
 :class:`~repro.service.server.SessionServer` and
-:class:`~repro.service.shard.ShardRouter` implement — so the sidecar
-is identical over a single process and a sharded fleet.
+:class:`~repro.service.shard.ShardRouter` get the last three from one
+shared implementation (:class:`~repro.service.server.Front`), so the
+sidecar is identical over a single process and a sharded fleet.
 
 Endpoint contracts:
 
@@ -28,8 +29,8 @@ Endpoint contracts:
   (:mod:`repro.obs.profiler`): an on-demand ``seconds``-long window
   (default 1, capped at 60) sampled at ``hz``, or the accumulated
   profile when an operator already opened a ``_ prof start`` window.
-  Served only when the front implements ``expo_pprof`` (both fronts
-  do).
+  An on-demand window is always fresh: it never repeats the samples
+  of an earlier one.
 
 Anything else is ``404``.  Exposition must never take the service
 down: every handler catches broad and answers ``500`` instead of
@@ -84,7 +85,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(200, JSON_CONTENT_TYPE,
                             json.dumps(self.front.expo_varz(),
                                        sort_keys=True) + "\n")
-            elif path == "/pprof" and hasattr(self.front, "expo_pprof"):
+            elif path == "/pprof":
                 seconds = min(60.0, float(
                     params.get("seconds", ["1"])[0]))
                 hz = float(params["hz"][0]) if "hz" in params else None

@@ -31,9 +31,9 @@ Design points:
   ``if`` per command (measured <5% end-to-end in
   ``benchmarks/bench_e7_observability.py`` even with tracing ON).
 * **Request context** — a thread-local *fleet* identity for the request
-  currently being served.  The edge (the stdio loop, the TCP handler)
-  mints one request id per request line and enters
-  :func:`request_context`; every span any tracer on that thread
+  currently being served.  The front that serves a request line (the
+  single-process server or the shard router) mints one request id for
+  it and enters :func:`request_context`; every span any tracer on that thread
   produces while the context is active is stamped with a ``request``
   tag.  The sharded router forwards the context over the worker pipe,
   so one TCP request leaves causally joinable spans in the router's
@@ -250,6 +250,9 @@ class _NoopSpan:
     """The shared do-nothing span handed out by a disabled tracer."""
 
     __slots__ = ()
+
+    #: a disabled tracer times nothing.
+    duration = 0.0
 
     def __enter__(self) -> "_NoopSpan":
         return self

@@ -41,7 +41,6 @@ import threading
 from typing import Optional, Tuple
 
 from repro.obs.metrics import REGISTRY
-from repro.obs.trace import request_context
 from repro.service.server import error_reply, write_reply
 
 #: responses are terminated by this line, mirroring the stdio server.
@@ -86,9 +85,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 continue
             if line.strip() in ("quit", "exit"):
                 break
-            with request_context():
-                reply = front.handle_line(line)
-            write_reply(out, reply)
+            write_reply(out, front.handle_line(line))
 
     def _drain_line(self) -> None:  # pragma: no cover - socket path
         """Discard the rest of an oversized line in bounded chunks."""

@@ -34,7 +34,7 @@ Verbs::
     _ metrics              aggregate persistence totals across sessions
     _ slow [n]             newest [n] slow-request entries (JSON array)
     _ slo                  rolling-window SLO report (JSON)
-    _ prof start [hz]      begin sampling-profiler collection
+    _ prof start [hz]      open a fresh sampling-profiler window
     _ prof stop            stop sampling (profile is kept)
     _ prof dump            collapsed-stack profile (flamegraph.pl input)
 
@@ -43,6 +43,10 @@ Every failure reply is one line of the form ``error: <kind>: <detail>``
 clients parse failures by tag, never by exception text.  The sharded
 front-end (:mod:`repro.service.shard`) speaks the same protocol and the
 same error format, adding the ``shard`` kind for routing failures.
+
+Both fronts subclass :class:`Front`, the one implementation of request
+observation and of the operator surfaces (``_ slo``, ``_ slow``,
+``_ prof``, ``/pprof``, ``/healthz``, ``/varz``).
 """
 
 from __future__ import annotations
@@ -122,6 +126,17 @@ def error_reply(kind: str, detail: str) -> str:
     return f"{ERROR_PREFIX} {kind}: {detail}"
 
 
+#: the reply to a request line without a verb.
+BAD_SHAPE = error_reply("bad-request",
+                        "expected '<session> <verb> [args...]'")
+
+#: the ``_`` verbs every front answers through :meth:`Front._front_verb`.
+FRONT_VERBS = ("slo", "slow", "prof")
+
+#: the ``_ prof dump`` reply when the profile is empty.
+NO_SAMPLES = "(no samples)"
+
+
 def write_reply(out_stream: IO[str], text: str) -> None:
     """Frame one reply onto a text stream: its lines, then a lone ``.``.
 
@@ -142,10 +157,6 @@ def serve_stream(front, in_stream: IO[str], out_stream: IO[str]) -> int:
     :class:`SessionServer` or the sharded router — so the stdio loop and
     the TCP connection handler share one framing implementation: one
     request line in, the response's lines out, a lone ``.`` terminator.
-    This is the trace *edge*: every request line is served inside a
-    fresh :func:`repro.obs.trace.request_context`, so all spans the
-    request produces — in this process or in a shard worker the router
-    forwards it to — carry one fleet-unique request id.
     Returns the number of requests handled; closing ``front`` is the
     caller's job.
     """
@@ -153,33 +164,37 @@ def serve_stream(front, in_stream: IO[str], out_stream: IO[str]) -> int:
     for line in in_stream:
         if line.strip() in ("quit", "exit"):
             break
-        with request_context():
-            out = front.handle_line(line)
-        write_reply(out_stream, out)
+        write_reply(out_stream, front.handle_line(line))
         handled += 1
     return handled
 
 
-class SessionServer:
-    """Parses request lines and dispatches them onto a manager.
+class Front:
+    """The request observer and operator surface every front shares.
 
-    Also the per-process observability vantage point: every request is
-    timed into a rolling-window :class:`~repro.obs.slo.SloTracker`
-    (the ``_ slo`` verb) and, past ``slow_ms``, recorded in a
-    :class:`~repro.obs.slowlog.SlowLog` entry (the ``_ slow`` verb)
-    carrying the latency breakdown the session layer accumulated onto
-    the request context — lock wait, analysis timers, journal fsyncs.
-    ``deadline_ms`` is the optional per-request budget: a reply that
-    took longer is flagged (:func:`flag_deadline`) and counted in
-    ``repro_deadline_exceeded_total``.
+    :class:`SessionServer` (one process) and the sharded router
+    (:class:`repro.service.shard.ShardRouter`) both serve the protocol
+    through :meth:`handle_line`, which times every request into the
+    ``requests`` / ``errors`` / ``deadline_exceeded`` counters, a
+    rolling-window :class:`~repro.obs.slo.SloTracker` (``_ slo``) and,
+    past ``slow_ms``, a :class:`~repro.obs.slowlog.SlowLog` entry
+    (``_ slow``) carrying the latency breakdown the session layer
+    accumulated onto the request context.  A reply later than the
+    optional ``deadline_ms`` budget is flagged (:func:`flag_deadline`)
+    and counted in ``registry``'s ``repro_deadline_exceeded_total``.
+
+    A front answers a split request line in :meth:`_answer` and adds
+    its own ``/healthz`` and ``/varz`` fields in :meth:`_health_detail`
+    and :meth:`_varz_detail`.
     """
 
-    def __init__(self, manager: SessionManager, *,
-                 slow_ms: Optional[float] = 250.0,
-                 deadline_ms: Optional[float] = None,
-                 slo_window_s: float = 300.0,
-                 layer: str = "server"):
-        self.manager = manager
+    #: the ``mode`` field of ``/healthz``.
+    mode = ""
+
+    def __init__(self, registry, *, slow_ms: Optional[float],
+                 deadline_ms: Optional[float], slo_window_s: float,
+                 layer: str):
+        self.registry = registry
         self.requests = 0
         self.errors = 0
         self.layer = layer
@@ -191,17 +206,36 @@ class SessionServer:
         #: the process sampling profiler behind ``_ prof`` / ``/pprof``;
         #: idle until started, so attaching it is free.
         self.profiler = Profiler(hz=100.0)
-        self.profiler.drop_counter = manager.metrics_registry.counter(
+        self.profiler.drop_counter = registry.counter(
             "repro_prof_dropped_total",
             "profiler samples lost to overrun ticks or stack-table "
             "overflow")
 
+    # -- request path --------------------------------------------------------
+
     def handle_line(self, line: str) -> str:
-        """Serve one request; never raises for a malformed request."""
+        """Serve one request; never raises for a malformed request.
+
+        This is the trace *edge*: every request runs inside a request
+        context (a fresh one unless the caller entered one), so its
+        spans, its slow-log entry and whatever a shard worker does for
+        it share one fleet-unique request id.
+        A blank line is not a request: it gets an empty reply and is
+        neither counted nor observed.
+        """
+        parts = line.split()
+        if not parts:
+            return ""
+        if current_request() is None:
+            with request_context():
+                return self._serve(line, parts)
+        return self._serve(line, parts)
+
+    def _serve(self, line: str, parts: List[str]) -> str:
         self.requests += 1
         started = time.perf_counter()
         try:
-            out = self._dispatch(line.strip().split())
+            out = self._answer(parts, line)
         except (SessionError, CommandError, UndoError, ParseError,
                 RecoveryError, OSError) as exc:
             # OSError covers ``init`` naming an unreadable file — one bad
@@ -214,6 +248,10 @@ class SessionServer:
             self.errors += 1
         return self._observe(line, out, time.perf_counter() - started)
 
+    def _answer(self, parts: List[str], line: str) -> str:
+        """The reply to one non-blank request line (split as ``parts``)."""
+        raise NotImplementedError
+
     def _observe(self, line: str, out: str, duration_s: float) -> str:
         """Record one served request (SLO, slow log, deadline budget)."""
         ok = not out.startswith(ERROR_PREFIX)
@@ -221,26 +259,140 @@ class SessionServer:
         exceeded = self.deadline_ms is not None and dur_ms > self.deadline_ms
         if exceeded:
             self.deadline_exceeded += 1
-            self.manager.metrics_registry.counter(
+            self.registry.counter(
                 "repro_deadline_exceeded_total",
                 "requests that blew their deadline budget").inc()
         self.slo.record(duration_s, ok, deadline_exceeded=exceeded)
         ctx = current_request()
-        self.slowlog.observe(
-            line, duration_s, ok=ok, layer=self.layer,
-            request=ctx.get("request") if ctx else None,
-            breakdown=ctx.get("breakdown") if ctx else None,
-            force=exceeded)
+        self.slowlog.observe(line, duration_s, ok=ok, layer=self.layer,
+                             request=ctx.get("request"),
+                             breakdown=ctx.get("breakdown"),
+                             force=exceeded)
         if exceeded:
             out = flag_deadline(out, dur_ms, self.deadline_ms)
         return out
 
-    def _dispatch(self, parts: List[str]) -> str:
-        if not parts:
-            return ""
+    # -- operator verbs ------------------------------------------------------
+
+    def _front_verb(self, verb: str, args: List[str]) -> str:
+        """The ``_ slo`` / ``_ slow [n]`` / ``_ prof ...`` verbs."""
+        if verb == "slo":
+            return json.dumps(self.slo.report(), sort_keys=True)
+        if verb == "slow":
+            return self._slow(int(args[0]) if args else None)
+        return self._prof(args)
+
+    def _slow(self, tail: Optional[int]) -> str:
+        """The newest ``tail`` slow-request entries (JSON array)."""
+        return json.dumps(self.slowlog.entries(tail), sort_keys=True)
+
+    def _prof(self, args: List[str]) -> str:
+        """The ``_ prof start|stop|dump`` verb family, in this process.
+
+        ``start`` opens a fresh profile (the last window's stacks are
+        dropped) and returns at once — the sampler is a daemon thread,
+        so the front keeps serving (and being sampled) while profiling
+        runs; ``stop`` keeps the profile for a later ``dump``.
+        """
+        action = args[0] if args else "dump"
+        if action == "start":
+            hz = float(args[1]) if len(args) > 1 else None
+            if not self.profiler.running:
+                self.profiler.reset()
+            if self.profiler.start(hz):
+                return f"profiling at {self.profiler.hz:g} hz"
+            return f"already profiling at {self.profiler.hz:g} hz"
+        if action == "stop":
+            self.profiler.stop()
+            return json.dumps({"samples": self.profiler.samples,
+                               "dropped": self.profiler.dropped},
+                              sort_keys=True)
+        if action == "dump":
+            return self.profiler.folded() or NO_SAMPLES
+        return error_reply("bad-request",
+                           f"prof expects start|stop|dump, got {action!r}")
+
+    # -- exposition hooks ----------------------------------------------------
+    #
+    # the surface repro.obs.expo.ExpoServer serves over HTTP, together
+    # with each front's own ``expo_metrics_doc``.
+
+    def expo_pprof(self, seconds: float = 1.0,
+                   hz: Optional[float] = None) -> str:
+        """The ``/pprof`` document: collapsed stacks, sampled on demand.
+
+        When an operator already opened a window (``_ prof start``) this
+        dumps it without disturbing it; otherwise it opens a fresh
+        ``seconds``-long window through the ``_ prof`` verbs — the
+        handler thread sleeps while the front keeps serving — and
+        closes it again.  Over the router the verbs reach every worker,
+        so the dump is the fleet's.
+        """
+        if self.profiler.running:
+            return _pprof_body(self._prof(["dump"]))
+        try:
+            _pprof_body(self._prof(
+                ["start"] if hz is None else ["start", str(hz)]))
+            time.sleep(max(0.0, seconds))
+            return _pprof_body(self._prof(["dump"]))
+        finally:
+            self._prof(["stop"])
+
+    def expo_health(self) -> Dict[str, Any]:
+        """The ``/healthz`` document (``ok`` decides the HTTP status)."""
+        return {"ok": True, "mode": self.mode,
+                "requests": self.requests, "errors": self.errors,
+                "deadline_exceeded": self.deadline_exceeded,
+                **self._health_detail()}
+
+    def expo_varz(self) -> Dict[str, Any]:
+        """The ``/varz`` document: everything an operator drills into."""
+        return {"health": self.expo_health(),
+                "slo": self.slo.report(),
+                "slow": self.slowlog.entries(32),
+                "profiler": {"running": self.profiler.running,
+                             "hz": self.profiler.hz,
+                             "samples": self.profiler.samples,
+                             "dropped": self.profiler.dropped},
+                **self._varz_detail()}
+
+    def _health_detail(self) -> Dict[str, Any]:
+        """This front's own ``/healthz`` fields (may override ``ok``)."""
+        return {}
+
+    def _varz_detail(self) -> Dict[str, Any]:
+        """This front's own ``/varz`` fields."""
+        return {}
+
+
+def _pprof_body(reply: str) -> str:
+    """A ``_ prof`` reply as ``/pprof`` text; an error reply raises."""
+    if reply.startswith(ERROR_PREFIX):
+        raise RuntimeError(reply)
+    return "" if reply == NO_SAMPLES else reply
+
+
+class SessionServer(Front):
+    """The in-process front: dispatches request lines onto a manager."""
+
+    mode = "single-process"
+    #: bound in this class's own namespace: the per-layer benchmark
+    #: (``perfbench/layertrace.py``) wraps and restores it per front.
+    handle_line = Front.handle_line
+
+    def __init__(self, manager: SessionManager, *,
+                 slow_ms: Optional[float] = 250.0,
+                 deadline_ms: Optional[float] = None,
+                 slo_window_s: float = 300.0,
+                 layer: str = "server"):
+        super().__init__(manager.metrics_registry, slow_ms=slow_ms,
+                         deadline_ms=deadline_ms,
+                         slo_window_s=slo_window_s, layer=layer)
+        self.manager = manager
+
+    def _answer(self, parts: List[str], line: str) -> str:
         if len(parts) < 2:
-            return error_reply("bad-request",
-                               "expected '<session> <verb> [args...]'")
+            return BAD_SHAPE
         name, verb, args = parts[0], parts[1], parts[2:]
         if verb == "sessions":
             return " ".join(self.manager.list_sessions()) or "(none)"
@@ -249,14 +401,9 @@ class SessionServer:
         if verb == "metrics" and name == "_":
             # manager-level aggregate; "<s> metrics" below stays
             # per-session
-            return json.dumps(self._metrics_doc(), sort_keys=True)
-        if verb == "slow" and name == "_":
-            tail = int(args[0]) if args else None
-            return json.dumps(self.slowlog.entries(tail), sort_keys=True)
-        if verb == "slo" and name == "_":
-            return json.dumps(self.slo.report(), sort_keys=True)
-        if verb == "prof" and name == "_":
-            return self._prof(args)
+            return json.dumps(self.expo_metrics_doc(), sort_keys=True)
+        if verb in FRONT_VERBS and name == "_":
+            return self._front_verb(verb, args)
         if verb == "init":
             with open(args[0]) as fh:
                 source = fh.read()
@@ -326,32 +473,7 @@ class SessionServer:
                 return f"snapshot: {path}" if path else "(nothing new)"
         return error_reply("unknown-verb", repr(verb))
 
-    def _prof(self, args: List[str]) -> str:
-        """The ``_ prof start|stop|dump`` verb family.
-
-        ``start`` returns immediately — the sampler is a daemon thread,
-        so the server keeps serving (and being sampled) while profiling
-        runs; ``stop`` keeps the accumulated profile for a later
-        ``dump``.  The sharded router fans these out per worker and
-        merges the dumps (:func:`repro.obs.profiler.merge_folded`).
-        """
-        action = args[0] if args else "dump"
-        if action == "start":
-            hz = float(args[1]) if len(args) > 1 else None
-            if self.profiler.start(hz):
-                return f"profiling at {self.profiler.hz:g} hz"
-            return f"already profiling at {self.profiler.hz:g} hz"
-        if action == "stop":
-            self.profiler.stop()
-            return json.dumps({"samples": self.profiler.samples,
-                               "dropped": self.profiler.dropped},
-                              sort_keys=True)
-        if action == "dump":
-            return self.profiler.folded() or "(no samples)"
-        return error_reply("bad-request",
-                           f"prof expects start|stop|dump, got {action!r}")
-
-    def _metrics_doc(self) -> Dict[str, Any]:
+    def expo_metrics_doc(self) -> Dict[str, Any]:
         """The ``_ metrics`` document: manager totals + profiler drops.
 
         Adds ``prof_samples`` / ``prof_dropped`` next to the span-drop
@@ -365,52 +487,11 @@ class SessionServer:
         doc["totals"]["prof_dropped"] = self.profiler.dropped
         return doc
 
-    # -- exposition hooks ----------------------------------------------------
-    #
-    # the duck-typed surface repro.obs.expo.ExpoServer serves over HTTP;
-    # the sharded router implements the same three methods, so the
-    # sidecar works identically over either front.
+    def _health_detail(self) -> Dict[str, Any]:
+        return {"pid": os.getpid()}
 
-    def expo_metrics_doc(self) -> Dict[str, Any]:
-        """The merged metrics document behind ``/metrics``."""
-        return self._metrics_doc()
-
-    def expo_pprof(self, seconds: float = 1.0,
-                   hz: Optional[float] = None) -> str:
-        """The ``/pprof`` document: collapsed stacks, sampled on demand.
-
-        When the profiler is already running (an operator started a
-        window via ``_ prof start``) this dumps the accumulated profile
-        without disturbing the window; otherwise it runs a fresh
-        ``seconds``-long collection — the handler thread sleeps, the
-        sampler and the worker threads keep going.
-        """
-        if self.profiler.running:
-            return self.profiler.folded()
-        self.profiler.reset()
-        self.profiler.start(hz)
-        try:
-            time.sleep(max(0.0, seconds))
-        finally:
-            self.profiler.stop()
-        return self.profiler.folded()
-
-    def expo_health(self) -> Dict[str, Any]:
-        """The ``/healthz`` document (``ok`` decides the HTTP status)."""
-        return {"ok": True, "mode": "single-process", "pid": os.getpid(),
-                "requests": self.requests, "errors": self.errors,
-                "deadline_exceeded": self.deadline_exceeded}
-
-    def expo_varz(self) -> Dict[str, Any]:
-        """The ``/varz`` document: everything an operator drills into."""
-        return {"health": self.expo_health(),
-                "slo": self.slo.report(),
-                "slow": self.slowlog.entries(32),
-                "stats": self.manager.stats(),
-                "profiler": {"running": self.profiler.running,
-                             "hz": self.profiler.hz,
-                             "samples": self.profiler.samples,
-                             "dropped": self.profiler.dropped}}
+    def _varz_detail(self) -> Dict[str, Any]:
+        return {"stats": self.manager.stats()}
 
     def close(self) -> None:
         """Shutdown hook: stop sampling, snapshot and close sessions."""

@@ -19,12 +19,14 @@ programs discipline, mapped onto processes).  The design:
   request at a time — the per-shard serialization that preserves
   per-session order without any cross-process locking.
 * **A router in the front-end process.**  :class:`ShardRouter` speaks
-  the same line protocol as ``SessionServer``: it forwards each request
-  to its shard and streams the response back, fanning ``_ sessions`` /
-  ``_ stats`` / ``_ metrics`` / ``_ prof`` out to every shard and
-  merging the answers (scalar totals summed, latency histograms merged
-  bucket-wise by :func:`repro.obs.metrics.merge_aggregate_metrics`,
-  collapsed profiler stacks summed line-wise by
+  the same line protocol as ``SessionServer`` and shares its request
+  observer and operator surfaces (:class:`~repro.service.server.Front`):
+  it forwards each request to its shard and streams the response back,
+  fanning ``_ sessions`` / ``_ stats`` / ``_ metrics`` / ``_ slow`` /
+  ``_ prof`` out to every shard and merging the answers (scalar totals
+  summed, latency histograms merged bucket-wise by
+  :func:`repro.obs.metrics.merge_aggregate_metrics`, slow logs by wall
+  clock, collapsed profiler stacks summed line-wise by
   :func:`repro.obs.profiler.merge_folded`).
 * **Worker death is detected, reported, and repaired.**  A request to a
   dead worker gets a clear ``error: shard: ...`` reply (never a hang);
@@ -44,18 +46,23 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import time
 import zlib
 from multiprocessing.connection import Connection, wait as _pipe_wait
 from threading import Lock
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import REGISTRY, merge_aggregate_metrics
-from repro.obs.profiler import Profiler, merge_folded
-from repro.obs.slo import SloTracker
+from repro.obs.profiler import merge_folded
 from repro.obs.slowlog import SlowLog
 from repro.obs.trace import Tracer, current_request, request_context
-from repro.service.server import ERROR_PREFIX, error_reply, flag_deadline
+from repro.service.server import (
+    BAD_SHAPE,
+    ERROR_PREFIX,
+    FRONT_VERBS,
+    NO_SAMPLES,
+    Front,
+    error_reply,
+)
 
 #: shard roots under the service root (two digits keeps ls sorted).
 SHARD_DIR_FMT = "shard-{:02d}"
@@ -241,19 +248,28 @@ class ShardWorker:
         self.process = None
 
 
-class ShardRouter:
+class ShardRouter(Front):
     """The line-protocol front-end over N shard worker processes.
 
     Drop-in for :class:`~repro.service.server.SessionServer` wherever a
     ``handle_line`` object is expected (the stdio loop, the TCP server,
-    the tests): per-session requests forward to the session's shard,
+    the tests), and observed by the same shared
+    :class:`~repro.service.server.Front` code: every TCP request passes
+    here, so the router's SLO window IS the fleet view.  Per-session
+    requests forward to the session's shard under a ``route`` span,
     manager-level ``_`` verbs aggregate across every shard, and the
     extra ``_ shards`` verb reports worker liveness without a round
-    trip.  ``manager_kwargs`` are forwarded to every shard's
-    :class:`~repro.service.session.SessionManager` (``max_live``,
-    ``snapshot_every``, ``fsync_every``) and must stay identical across
-    restarts, so they are fixed at construction.
+    trip.  Workers run their own slow logs at the same threshold and
+    ``_ slow`` merges all of them.  ``manager_kwargs`` are forwarded to
+    every shard's :class:`~repro.service.session.SessionManager`
+    (``max_live``, ``snapshot_every``, ``fsync_every``) and must stay
+    identical across restarts, so they are fixed at construction.
     """
+
+    mode = "sharded"
+    #: bound in this class's own namespace: the per-layer benchmark
+    #: (``perfbench/layertrace.py``) wraps and restores it per front.
+    handle_line = Front.handle_line
 
     def __init__(self, root: str, nshards: int, *,
                  manager_kwargs: Optional[Dict[str, Any]] = None,
@@ -263,28 +279,11 @@ class ShardRouter:
                  slo_window_s: float = 300.0):
         if nshards < 1:
             raise ValueError("nshards must be >= 1")
+        super().__init__(REGISTRY, slow_ms=slow_ms, deadline_ms=deadline_ms,
+                         slo_window_s=slo_window_s, layer="router")
         self.root = root
         self.nshards = nshards
         self.auto_restart = auto_restart
-        self.requests = 0
-        self.errors = 0
-        self.deadline_ms = deadline_ms
-        self.deadline_exceeded = 0
-        #: router-vantage slow log and fleet SLO window (every TCP
-        #: request passes here, so this window IS the fleet view);
-        #: workers run their own slow logs at the same threshold and
-        #: the ``_ slow`` verb merges all of them.
-        self.slowlog = SlowLog(
-            threshold_s=None if slow_ms is None else slow_ms / 1e3)
-        self.slo = SloTracker(slo_window_s)
-        #: the router process's own sampling profiler — ``_ prof`` and
-        #: ``/pprof`` drive it alongside every worker's, so routing and
-        #: merge overhead shows up in fleet profiles too.
-        self.profiler = Profiler(hz=100.0)
-        self.profiler.drop_counter = REGISTRY.counter(
-            "repro_prof_dropped_total",
-            "profiler samples lost to overrun ticks or stack-table "
-            "overflow")
         #: the router's own span stream — the edge half of every fleet
         #: trace, joined with per-session worker traces by request id.
         os.makedirs(root, exist_ok=True)
@@ -304,45 +303,21 @@ class ShardRouter:
 
     # -- request path --------------------------------------------------------
 
-    def handle_line(self, line: str) -> str:
-        """Serve one request; never raises for a malformed request.
-
-        Every request runs inside a request context (entering a fresh
-        one when the edge has not already) under a ``route`` span in
-        the router's trace — the record the collector joins with the
-        worker's span tree to reconstruct the whole request.
-        """
-        ctx = current_request()
-        if ctx is None:
-            with request_context() as fresh:
-                return self._serve(line, fresh)
-        return self._serve(line, ctx)
-
-    def _serve(self, line: str, ctx: Dict[str, Any]) -> str:
-        self.requests += 1
-        parts = line.strip().split()
-        if not parts:
-            return ""
-        started = time.perf_counter()
+    def _answer(self, parts: List[str], line: str) -> str:
+        """Route one request under a ``route`` span in the router's
+        trace — the record the collector joins with the worker's span
+        tree to reconstruct the whole request."""
         target, verb = parts[0], parts[1] if len(parts) > 1 else ""
         with self.tracer.span("route", target=target, verb=verb) as span:
             if len(parts) < 2:
-                out = error_reply("bad-request",
-                                  "expected '<session> <verb> [args...]'")
+                out = BAD_SHAPE
                 span.tag(kind="bad-request")
             elif target == "_" and verb == "shards":
                 out = json.dumps(self.shard_status(), sort_keys=True)
                 span.tag(kind="local")
-            elif target == "_" and verb == "slo":
-                out = json.dumps(self.slo.report(), sort_keys=True)
-                span.tag(kind="local")
-            elif target == "_" and verb == "slow":
-                out = self._merged_slow(
-                    int(parts[2]) if len(parts) > 2 else None)
-                span.tag(kind="fanout")
-            elif target == "_" and verb == "prof":
-                out = self._prof(parts[2:])
-                span.tag(kind="fanout")
+            elif target == "_" and verb in FRONT_VERBS:
+                out = self._front_verb(verb, parts[2:])
+                span.tag(kind="local" if verb == "slo" else "fanout")
             elif target == "_" and verb in AGGREGATE_VERBS:
                 out = self._aggregate(verb)
                 span.tag(kind="fanout")
@@ -350,33 +325,11 @@ class ShardRouter:
                 shard = shard_index(target, self.nshards)
                 span.tag(kind="session", shard=shard)
                 out = self._request(self.workers[shard], line)
-            ok = not out.startswith(ERROR_PREFIX)
-            if not ok:
-                self.errors += 1
+            if out.startswith(ERROR_PREFIX):
                 span.tag(status="failed")
-        duration = time.perf_counter() - started
-        return self._observe(line, out, duration, ok, ctx)
-
-    def _observe(self, line: str, out: str, duration_s: float, ok: bool,
-                 ctx: Dict[str, Any]) -> str:
-        """Record one routed request (SLO window, slow log, deadline)."""
-        dur_ms = duration_s * 1e3
-        exceeded = self.deadline_ms is not None and dur_ms > self.deadline_ms
-        if exceeded:
-            self.deadline_exceeded += 1
-            REGISTRY.counter(
-                "repro_deadline_exceeded_total",
-                "requests that blew their deadline budget").inc()
-        self.slo.record(duration_s, ok, deadline_exceeded=exceeded)
-        self.slowlog.observe(line, duration_s, ok=ok, layer="router",
-                             request=ctx.get("request"),
-                             breakdown=ctx.get("breakdown"),
-                             force=exceeded)
-        if exceeded:
-            out = flag_deadline(out, dur_ms, self.deadline_ms)
         return out
 
-    def _merged_slow(self, tail: Optional[int]) -> str:
+    def _slow(self, tail: Optional[int]) -> str:
         """The fleet slow-request listing: every shard's log + the
         router's own, merged by wall clock (the ``_ slow [n]`` verb).
 
@@ -459,42 +412,37 @@ class ShardRouter:
         return json.dumps(merged, sort_keys=True)
 
     def _prof(self, args: List[str]) -> str:
-        """The fleet ``_ prof`` verbs: every worker plus the router.
+        """The fleet ``_ prof`` verbs: the router's profiler plus every
+        worker's.
 
-        ``start``/``stop`` fan out to every shard and drive the router
-        process's profiler alongside; ``stop`` sums the per-process
-        sample/drop counts; ``dump`` merges per-process collapsed
-        stacks by summing identical lines
+        The router's own half is the shared in-process verb, so
+        ``start`` opens a fresh profile in every process; ``stop`` sums
+        the per-process sample/drop counts; ``dump`` merges
+        per-process collapsed stacks by summing identical lines
         (:func:`repro.obs.profiler.merge_folded`) — the profile
         equivalent of the bucket-wise histogram merge.
         """
+        local = super()._prof(args)
+        if local.startswith(ERROR_PREFIX):
+            return local
         action = args[0] if args else "dump"
-        if action not in ("start", "stop", "dump"):
-            return error_reply(
-                "bad-request",
-                f"prof expects start|stop|dump, got {action!r}")
         answers, failures = self._fanout(
             " ".join(["_", "prof", action, *args[1:]]))
         if failures:
             return failures[0]
         if action == "start":
-            hz = float(args[1]) if len(args) > 1 else None
-            self.profiler.start(hz)
             return (f"profiling {self.nshards} shard(s) at "
                     f"{self.profiler.hz:g} hz")
         if action == "stop":
-            self.profiler.stop()
-            totals = {"samples": self.profiler.samples,
-                      "dropped": self.profiler.dropped,
-                      "shards": self.nshards}
+            totals = json.loads(local)
             for out in answers:
                 doc = json.loads(out)
                 totals["samples"] += doc.get("samples", 0)
                 totals["dropped"] += doc.get("dropped", 0)
+            totals["shards"] = self.nshards
             return json.dumps(totals, sort_keys=True)
-        dumps = [out for out in answers if out != "(no samples)"]
-        dumps.append(self.profiler.folded())
-        return merge_folded(dumps) or "(no samples)"
+        dumps = [out for out in (*answers, local) if out != NO_SAMPLES]
+        return merge_folded(dumps) or NO_SAMPLES
 
     def shard_metrics(self) -> List[Dict[str, Any]]:
         """Per-shard ``aggregate_metrics`` documents (test/ops surface)."""
@@ -514,17 +462,13 @@ class ShardRouter:
                             for w in self.workers]}
 
     # -- exposition hooks ----------------------------------------------------
-    #
-    # the duck-typed surface repro.obs.expo.ExpoServer serves over HTTP
-    # (same three methods as SessionServer, so the sidecar is
-    # front-agnostic).
 
     def expo_metrics_doc(self) -> Dict[str, Any]:
         """The fleet-merged metrics document behind ``/metrics``."""
         return merge_aggregate_metrics(self.shard_metrics())
 
-    def expo_health(self) -> Dict[str, Any]:
-        """The ``/healthz`` document: worker liveness plus journal lag.
+    def _health_detail(self) -> Dict[str, Any]:
+        """Worker liveness plus journal lag for ``/healthz``.
 
         ``ok`` (every worker alive) decides the HTTP status.  The
         journal block compares fleet-wide committed commands against
@@ -535,13 +479,7 @@ class ShardRouter:
         """
         status = self.shard_status()
         doc: Dict[str, Any] = {
-            "ok": all(w["alive"] for w in status["workers"]),
-            "mode": "sharded",
-            "requests": self.requests,
-            "errors": self.errors,
-            "deadline_exceeded": self.deadline_exceeded,
-            **status,
-        }
+            "ok": all(w["alive"] for w in status["workers"]), **status}
         try:
             totals = self.expo_metrics_doc()["totals"]
             commands = totals.get("commands", 0)
@@ -553,45 +491,11 @@ class ShardRouter:
             doc["journal"] = {"error": str(exc)}
         return doc
 
-    def expo_pprof(self, seconds: float = 1.0,
-                   hz: Optional[float] = None) -> str:
-        """The ``/pprof`` document: fleet collapsed stacks on demand.
-
-        When a profiling window is already open (``_ prof start``) this
-        dumps the accumulated fleet profile without disturbing the
-        window; otherwise every worker and the router sample for
-        ``seconds`` — the HTTP handler thread sleeps while the workers
-        keep serving — and the per-process dumps merge line-wise.
-        """
-        if self.profiler.running:
-            return self._prof(["dump"])
-        out = self._prof(["start"] if hz is None else ["start", str(hz)])
-        if out.startswith(ERROR_PREFIX):
-            raise ShardError(out)
+    def _varz_detail(self) -> Dict[str, Any]:
         try:
-            time.sleep(max(0.0, seconds))
-            dump = self._prof(["dump"])
-        finally:
-            self._prof(["stop"])
-        if dump.startswith(ERROR_PREFIX):
-            raise ShardError(dump)
-        return dump
-
-    def expo_varz(self) -> Dict[str, Any]:
-        """The ``/varz`` document: everything an operator drills into."""
-        doc: Dict[str, Any] = {"health": self.expo_health(),
-                               "slo": self.slo.report(),
-                               "slow": self.slowlog.entries(32),
-                               "profiler": {
-                                   "running": self.profiler.running,
-                                   "hz": self.profiler.hz,
-                                   "samples": self.profiler.samples,
-                                   "dropped": self.profiler.dropped}}
-        try:
-            doc["metrics"] = self.expo_metrics_doc()
+            return {"metrics": self.expo_metrics_doc()}
         except ShardError as exc:
-            doc["metrics"] = {"error": str(exc)}
-        return doc
+            return {"metrics": {"error": str(exc)}}
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -9,8 +9,10 @@ Pins the contracts of the fleet-observability PR:
   ``repro_trace_dropped_total`` and the manager's ``spans_dropped``
   aggregate;
 * the slow-request log and the rolling-window SLO tracker behind the
-  ``_ slow`` / ``_ slo`` verbs, plus the per-request deadline budget
-  and its reply flag;
+  ``_ slow`` / ``_ slo`` verbs, the per-request deadline budget and its
+  reply flag, blank lines, the shared ``/healthz`` / ``/varz`` core and
+  fresh ``/pprof`` windows — each over both fronts, the single-process
+  server and a two-shard router;
 * cross-shard metrics merging edge cases (disjoint totals fields,
   missing histograms, percentile re-derivation) and the Prometheus
   rendering of merged documents;
@@ -21,6 +23,7 @@ Pins the contracts of the fleet-observability PR:
   UTF-8) — rejected with a normalized error, counted, connection kept.
 """
 
+import glob
 import json
 import os
 import socket
@@ -353,54 +356,158 @@ def server(tmp_path):
     manager.close_all()
 
 
+@pytest.fixture(params=["server", "router"])
+def make_front(request, tmp_path):
+    """Builds the front under test: a SessionServer or a 2-shard router.
+
+    Both observe requests through the same shared code, so every
+    forensics test runs over each; ``front.prog`` names a program file
+    to ``init`` sessions from.
+    """
+    prog = tmp_path / "p.loop"
+    prog.write_text(SRC)
+    built = []
+
+    def make(**kwargs):
+        if request.param == "server":
+            manager = SessionManager(str(tmp_path),
+                                     metrics=MetricsRegistry())
+            front = SessionServer(manager, **kwargs)
+        else:
+            front = ShardRouter(str(tmp_path), 2, **kwargs)
+        front.prog = str(prog)
+        built.append(front)
+        return front
+
+    yield make
+    for front in built:
+        front.close()
+
+
+@pytest.fixture()
+def front(make_front):
+    return make_front(slow_ms=0.0)
+
+
 class TestServerForensics:
-    def test_slow_verb_returns_entries_with_breakdown(self, server):
-        assert server.handle_line(f"a init {server.prog}") == "created a"
+    def test_slow_verb_returns_entries_with_breakdown(self, front):
+        assert front.handle_line(f"a init {front.prog}") == "created a"
         with request_context() as ctx:
-            out = server.handle_line("a apply ctp 0")
+            out = front.handle_line("a apply ctp 0")
         assert out.startswith("applied")
-        entries = json.loads(server.handle_line("_ slow"))
-        entry = next(e for e in entries if "apply" in e["line"])
+        entries = json.loads(front.handle_line("_ slow"))
+        # the breakdown is collected where the session runs; the
+        # router's own entry for the request carries none
+        entry = next(e for e in entries
+                     if "apply" in e["line"] and e["layer"] != "router")
         assert entry["request"] == ctx["request"]
         breakdown = entry["breakdown"]
         assert "lock_wait_ms" in breakdown
         assert "journal_append_ms" in breakdown
         assert "analysis_ms" in breakdown
         assert breakdown["journal_fsyncs"] >= 0
+        # the journal time is the journal.append span's own clock
+        root = os.path.dirname(front.prog)
+        trace_file, = glob.glob(os.path.join(root, "**", "a", "trace.jsonl"),
+                                recursive=True)
+        with open(trace_file, encoding="utf-8") as fh:
+            append = next(
+                span for span in map(json.loads, fh)
+                if span["name"] == "journal.append"
+                and span["tags"].get("request") == ctx["request"])
+        assert breakdown["journal_append_ms"] == \
+            pytest.approx(append["dur"] * 1e3)
 
-    def test_slow_verb_tails(self, server):
+    def test_slow_verb_tails(self, front):
         for k in range(5):
-            server.handle_line("_ slo")
-        entries = json.loads(server.handle_line("_ slow 2"))
+            front.handle_line("_ slo")
+        entries = json.loads(front.handle_line("_ slow 2"))
         assert len(entries) == 2
 
-    def test_slo_verb_reports_the_window(self, server):
-        assert server.handle_line(f"a init {server.prog}") == "created a"
-        server.handle_line("a nope")
-        doc = json.loads(server.handle_line("_ slo"))
+    def test_slow_verb_rejects_a_bad_tail(self, front):
+        out = front.handle_line("_ slow many")
+        assert out.startswith("error: bad-request:")
+        assert front.errors == 1
+
+    def test_slo_verb_reports_the_window(self, front):
+        assert front.handle_line(f"a init {front.prog}") == "created a"
+        front.handle_line("a nope")
+        doc = json.loads(front.handle_line("_ slo"))
         assert doc["requests"] >= 2
         assert doc["errors"] >= 1
         assert "p95_ms" in doc and "violations" in doc
 
-    def test_deadline_flags_the_reply_and_counts(self, tmp_path):
-        prog = tmp_path / "p.loop"
-        prog.write_text(SRC)
-        registry = MetricsRegistry()
-        manager = SessionManager(str(tmp_path), metrics=registry)
-        srv = SessionServer(manager, slow_ms=None, deadline_ms=0.0)
-        out = srv.handle_line(f"a init {prog}")
+    def test_deadline_flags_the_reply_and_counts(self, make_front):
+        srv = make_front(slow_ms=None, deadline_ms=0.0)
+        before = srv.registry.value("repro_deadline_exceeded_total") or 0
+        out = srv.handle_line(f"a init {srv.prog}")
         assert out.splitlines()[0] == "created a"
         assert DEADLINE_FLAG in out.splitlines()[1]
         assert srv.deadline_exceeded == 1
-        assert registry.value("repro_deadline_exceeded_total") == 1
+        assert srv.registry.value("repro_deadline_exceeded_total") == \
+            before + 1
+        assert json.loads(srv.handle_line("_ slo").splitlines()[0])[
+            "deadline_exceeded"] >= 1
         # deadline breaches are always recorded, even with the slow log
         # threshold disabled
         assert srv.slowlog.entries()
-        manager.close_all()
 
-    def test_no_deadline_means_no_flag(self, server):
-        out = server.handle_line(f"a init {server.prog}")
+    def test_no_deadline_means_no_flag(self, front):
+        out = front.handle_line(f"a init {front.prog}")
         assert out == "created a"
+
+    def test_blank_line_is_not_a_request(self, front):
+        # a blank line gets an empty reply and is neither counted nor
+        # recorded: it must not dilute the SLO window or the slow log
+        assert front.handle_line("") == ""
+        assert front.handle_line("  \n") == ""
+        assert front.requests == 0
+        assert front.slowlog.entries() == []
+        assert front.slo.report()["requests"] == 0
+
+    def test_health_and_varz_share_their_core(self, front):
+        front.handle_line(f"a init {front.prog}")
+        front.handle_line("a nope")
+        health = front.expo_health()
+        assert health["ok"]
+        assert health["requests"] == 2
+        assert health["errors"] == 1
+        assert health["deadline_exceeded"] == 0
+        assert health["mode"] in ("single-process", "sharded")
+        varz = front.expo_varz()
+        assert {"health", "slo", "slow", "profiler"} <= set(varz)
+        assert varz["slo"]["requests"] == 2
+        assert varz["profiler"]["running"] is False
+
+    def test_pprof_opens_a_fresh_window(self, front):
+        # an idle scrape right after a busy one must not report the
+        # busy window's samples again
+        front.handle_line(f"a init {front.prog}")
+        stop = threading.Event()
+
+        def churn():
+            while not stop.is_set():
+                front.handle_line("a apply ctp 0")
+                front.handle_line("a undo 1")
+
+        worker = threading.Thread(target=churn, daemon=True)
+        worker.start()
+        try:
+            busy = _folded_samples(front.expo_pprof(seconds=0.3, hz=500))
+        finally:
+            stop.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        idle = _folded_samples(front.expo_pprof(seconds=0.0))
+        assert busy >= 50
+        assert idle * 5 < busy
+        assert front.profiler.running is False
+
+
+def _folded_samples(folded):
+    """Total sample count of a collapsed-stack profile."""
+    return sum(int(line.rpartition(" ")[2])
+               for line in folded.splitlines())
 
 
 # -- http exposition ----------------------------------------------------------
