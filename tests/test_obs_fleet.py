@@ -356,20 +356,21 @@ def server(tmp_path):
     manager.close_all()
 
 
-@pytest.fixture(params=["server", "router"])
+@pytest.fixture()
 def make_front(request, tmp_path):
     """Builds the front under test: a SessionServer or a 2-shard router.
 
-    Both observe requests through the same shared code, so every
-    forensics test runs over each; ``front.prog`` names a program file
-    to ``init`` sessions from.
+    The test class's ``FRONT`` picks which. Both fronts observe requests
+    through the same shared code, so the forensics tests run over each;
+    ``front.prog`` names a program file to ``init`` sessions from.
     """
+    kind = getattr(request.cls, "FRONT", "server")
     prog = tmp_path / "p.loop"
     prog.write_text(SRC)
     built = []
 
     def make(**kwargs):
-        if request.param == "server":
+        if kind == "server":
             manager = SessionManager(str(tmp_path),
                                      metrics=MetricsRegistry())
             front = SessionServer(manager, **kwargs)
@@ -390,6 +391,8 @@ def front(make_front):
 
 
 class TestServerForensics:
+    FRONT = "server"
+
     def test_slow_verb_returns_entries_with_breakdown(self, front):
         assert front.handle_line(f"a init {front.prog}") == "created a"
         with request_context() as ctx:
@@ -502,6 +505,11 @@ class TestServerForensics:
         assert busy >= 50
         assert idle * 5 < busy
         assert front.profiler.running is False
+
+
+class TestRouterForensics(TestServerForensics):
+    """The same forensics contracts over a two-shard router."""
+    FRONT = "router"
 
 
 def _folded_samples(folded):
