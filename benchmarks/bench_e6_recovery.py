@@ -17,16 +17,26 @@ properties worth measuring rather than asserting:
    sub-commands journals as one record and pays one fsync, so at
    ``fsync_every=1`` batched execution clears 2x the single-command
    journaled throughput by batch size 16.
+4. **An evict/reopen cycle costs what changed, not the history.**  A
+   session that is reopened, runs one command and is snapshotted on
+   eviction (the service's LRU cycle) cuts that snapshot as a delta
+   against the full one on disk, and its reopen checks the journal's
+   CRCs without rendering a record.  The table reports the cycle's
+   parts against history length (reported, not gated).
 
 All tables print with `pytest benchmarks/bench_e6_recovery.py -s`.
 """
 
+import os
+import statistics
 import time
 
 import pytest
 
 from repro.bench.reporting import BenchReport, banner, ms, rate, ratio, scaled
 from repro.lang.printer import format_program
+from repro.service.journal import scan_journal
+from repro.service.recovery import JOURNAL_FILE
 from repro.service.serde import state_fingerprint
 from repro.service.session import DurableSession
 from repro.workloads.generator import generate_program
@@ -37,6 +47,11 @@ REPORT = BenchReport("bench_e6_recovery")
 SEED = 11
 HISTORY_SIZES = scaled([4, 8, 16, 28])
 SNAPSHOT_EVERY = 8
+#: the E8 program; one apply/undo pair adds two commands to a session.
+TINY_SRC = "c = 1\nx = c + 2\nwrite x\n"
+CYCLE_HISTORIES = scaled([100, 200, 400])
+#: evict/reopen cycles per history length (four full-every periods).
+CYCLES = 16
 
 
 def build_history(tmp_path, tag, n_commands, snapshot_every):
@@ -214,3 +229,55 @@ def test_e6_recovery_correctness_spot_check(tmp_path):
     assert session.recovery.verified is True
     assert state_fingerprint(session.engine) == fp
     session.close()
+
+
+def _cycle(sdir):
+    """One LRU cycle: reopen, one command, eviction snapshot, close.
+
+    Returns (reopen s, snapshot s, snapshot bytes, journal scan s)."""
+    start = time.perf_counter()
+    session = DurableSession.open(sdir)
+    reopen_s = time.perf_counter() - start
+    active = session.engine.history.active()
+    if active:
+        session.undo(active[-1].stamp)
+    else:
+        session.apply("ctp", 0)
+    start = time.perf_counter()
+    path = session.snapshot()
+    snapshot_s = time.perf_counter() - start
+    session.close()
+    start = time.perf_counter()
+    scan_journal(os.path.join(sdir, JOURNAL_FILE))
+    scan_s = time.perf_counter() - start
+    return reopen_s, snapshot_s, os.path.getsize(path), scan_s
+
+
+def test_e6_evict_reopen_cycle_table(tmp_path):
+    banner("E6 — evict/reopen cycle vs history length (tiny program, "
+           f"{CYCLES} cycles: reopen and scan medians, snapshot means)")
+    t = REPORT.table(["history", "reopen", "evict snapshot",
+                      "snapshot bytes", "journal scan"],
+                     title="E6 — evict/reopen cycle vs history length")
+    for n in CYCLE_HISTORIES:
+        sdir = str(tmp_path / f"cycle{n}")
+        session = DurableSession.create(sdir, TINY_SRC)
+        while session.seq < n:
+            session.undo(session.apply("ctp", 0).stamp)
+        session.snapshot()
+        session.close()
+        reopen_s, snapshot_s, sizes, scan_s = zip(
+            *(_cycle(sdir) for _ in range(CYCLES)))
+        row = {"reopen_ms": statistics.median(reopen_s),
+               "snapshot_ms": statistics.mean(snapshot_s),
+               "snapshot_bytes": statistics.mean(sizes),
+               "journal_scan_ms": statistics.median(scan_s)}
+        t.add(n, ms(row["reopen_ms"]), ms(row["snapshot_ms"]),
+              int(row["snapshot_bytes"]), ms(row["journal_scan_ms"]))
+    t.show()
+    REPORT.value("cycle_history_at_max", n)
+    for key, value in row.items():
+        scale = 1 if key == "snapshot_bytes" else 1e3
+        REPORT.value(f"cycle_{key}_at_max", round(scale * value, 3))
+    # the cycles kept the session exact
+    assert DurableSession.open(sdir, verify=True).recovery.verified

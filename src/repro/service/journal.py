@@ -14,7 +14,9 @@ Design points:
   suffix of commands, never consistency (the crash-recovery property
   test exercises every offset).
 * **Torn-tail detection** — a crash mid-write leaves a final line that
-  is incomplete, unparseable, or fails its per-line CRC.
+  is incomplete, unparseable, or fails its per-line CRC.  The CRC is
+  checked on the bytes as written (:func:`parse_record`), so a scan
+  renders nothing and decodes no command.
   :func:`scan_journal` returns the longest valid prefix and the byte
   offset where it ends; :func:`repair_journal` truncates the file
   there.
@@ -30,7 +32,6 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import metrics as obs_metrics
@@ -61,18 +62,46 @@ def fsync_dir(dirpath: str) -> None:
         os.close(fd)
 
 
-@dataclass(frozen=True)
 class JournalRecord:
-    """One committed command, as read back from the journal."""
+    """One committed command, as read back from the journal.
 
-    seq: int
-    cmd: Dict[str, Any]
+    A record parsed from a journal line keeps its ``cmd`` as the bytes
+    written and decodes them on first access, so a reopen checks every
+    record's CRC but decodes only the tail it replays.
+    """
+
+    __slots__ = ("seq", "_cmd", "_raw")
+
+    def __init__(self, seq: int, cmd: Optional[Dict[str, Any]] = None, *,
+                 raw: bytes = b""):
+        self.seq = seq
+        self._cmd = cmd
+        self._raw = raw
+
+    @property
+    def cmd(self) -> Dict[str, Any]:
+        """The encoded command (decoded once, on first use)."""
+        if self._cmd is None:
+            self._cmd = json.loads(self._raw)
+        return self._cmd
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, JournalRecord):
+            return NotImplemented
+        return self.seq == other.seq and self.cmd == other.cmd
+
+    def __repr__(self) -> str:
+        return f"JournalRecord(seq={self.seq!r}, cmd={self.cmd!r})"
 
 
 def _crc(seq: int, cmd: Dict[str, Any]) -> str:
     body = json.dumps({"seq": seq, "cmd": cmd}, sort_keys=True,
                       separators=(",", ":"))
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
+    return _crc_of(body.encode("utf-8"))
+
+
+def _crc_of(body: bytes) -> str:
+    return hashlib.sha256(body).hexdigest()[:16]
 
 
 def format_record(seq: int, cmd: Dict[str, Any]) -> bytes:
@@ -82,20 +111,37 @@ def format_record(seq: int, cmd: Dict[str, Any]) -> bytes:
             + "\n").encode("utf-8")
 
 
+#: a line is ``{"cmd":<cmd>,"crc":"<16 hex>","seq":<seq>}``; the CRC
+#: field sits a fixed distance before the ``seq`` key.
+_CMD_KEY = b'{"cmd":'
+_CRC_KEY = b',"crc":"'
+_SEQ_KEY = b',"seq":'
+_CRC_FIELD = len(_CRC_KEY) + 16 + 1
+
+
 def parse_record(line: bytes) -> Optional[JournalRecord]:
-    """Parse one journal line; ``None`` when torn or corrupt."""
-    try:
-        doc = json.loads(line.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
+    """Parse one journal line; ``None`` when torn or corrupt.
+
+    A line is the canonical rendering of ``{"cmd", "crc", "seq"}``, so
+    cutting ``"crc":"<16 hex>",`` out of it leaves exactly the
+    ``{"cmd", "seq"}`` body the CRC covers.  The check hashes that slice
+    of the bytes as written and reads the seq off the line's tail; the
+    command stays undecoded until :attr:`JournalRecord.cmd` is read.
+    """
+    at = line.rfind(_SEQ_KEY)
+    crc_at = at - _CRC_FIELD
+    if crc_at < len(_CMD_KEY) or not line.startswith(_CMD_KEY + b"{") \
+            or not line.endswith(b"}") \
+            or not line.startswith(_CRC_KEY, crc_at) \
+            or line[at - 1] != ord('"'):
         return None
-    if not isinstance(doc, dict):
+    digits = line[at + len(_SEQ_KEY):-1]
+    if not digits.isdigit():
         return None
-    seq, cmd, crc = doc.get("seq"), doc.get("cmd"), doc.get("crc")
-    if not isinstance(seq, int) or not isinstance(cmd, dict):
+    crc = line[crc_at + len(_CRC_KEY):at - 1]
+    if _crc_of(line[:crc_at] + line[at:]).encode("ascii") != crc:
         return None
-    if crc != _crc(seq, cmd):
-        return None
-    return JournalRecord(seq=seq, cmd=cmd)
+    return JournalRecord(int(digits), raw=line[len(_CMD_KEY):crc_at])
 
 
 def scan_journal(path: str) -> Tuple[List[JournalRecord], int, bool]:

@@ -7,8 +7,10 @@ Reopening a durable session:
    (:func:`repro.service.journal.repair_journal`).
 2. **Migrate** a directory whose snapshots still carry the command
    list, once (:func:`migrate_journal`).
-3. **Load** the latest *valid* snapshot (corrupt ones are skipped); if
-   none exists, start from the session's genesis program source.
+3. **Load** the latest *valid* snapshot (corrupt ones are skipped and
+   counted); if none exists, start from the session's genesis program
+   source.  The snapshot's :class:`DeltaBase` lets the reopened session
+   cut its next snapshot as a delta against the full one on disk.
 4. **Replay** the journal tail — every command with a sequence number
    beyond the snapshot — through the *real* engine.  Replay is not a
    simulation: it runs the same ``find``/``apply``/``undo`` code paths
@@ -177,6 +179,55 @@ def migrate_journal(journal_path: str, records: List[JournalRecord],
 
 
 @dataclass
+class DeltaBase:
+    """The full snapshot a session's next delta snapshot is cut against.
+
+    ``cursors`` are the extents of the engine's append-only logs
+    (``events``, annotation ``anns`` oplog, ``hist`` mutations) at that
+    full snapshot; a delta ships what lies beyond them plus the
+    annotation ``ops`` and history ``stamps`` that a delta loaded at
+    reopen already carried (the logs restart at reopen).  ``chain``
+    counts the deltas written against ``full_seq`` so far.
+    """
+
+    full_seq: int
+    cursors: Dict[str, int]
+    ops: List[Any] = field(default_factory=list)
+    stamps: List[int] = field(default_factory=list)
+    chain: int = 0
+
+
+def log_cursors(engine: TransformationEngine) -> Dict[str, int]:
+    """Current extents of the engine logs a delta snapshot reads."""
+    return {"events": len(engine.events),
+            "anns": len(engine.store.oplog),
+            "hist": len(engine.history.mutations)}
+
+
+def _delta_base(seq: int, payload: Dict[str, Any],
+                engine: TransformationEngine) -> Optional[DeltaBase]:
+    """The delta base a just-restored snapshot leaves its session.
+
+    ``None`` — the next snapshot is full — for a full snapshot that
+    still carries ``commands`` (written before the journal held the
+    whole history) and for a delta that records no chain position.
+    """
+    if "commands" in payload:
+        return None
+    cursors = log_cursors(engine)
+    delta = payload.get("delta")
+    if delta is None:
+        return DeltaBase(seq, cursors)
+    if "chain" not in delta:
+        return None
+    cursors["events"] = delta["events_base"]
+    return DeltaBase(delta["delta_of"], cursors,
+                     ops=list(delta["annotations_ops"]),
+                     stamps=[int(s) for s in delta["history"]],
+                     chain=delta["chain"])
+
+
+@dataclass
 class RecoveryResult:
     """What one :func:`recover` call reconstructed, with work stats."""
 
@@ -192,6 +243,11 @@ class RecoveryResult:
     #: result of the optional from-scratch verification.
     verified: Optional[bool] = None
     meta: Dict[str, Any] = field(default_factory=dict)
+    #: corrupt snapshots skipped on the way to the one loaded.
+    skipped_snapshots: int = 0
+    #: what the session's next delta snapshot is cut against (``None``:
+    #: its next snapshot is full).
+    delta_base: Optional[DeltaBase] = None
 
 
 def recover(dirpath: str, *, strategy: Optional[UndoStrategy] = None,
@@ -224,17 +280,18 @@ def recover(dirpath: str, *, strategy: Optional[UndoStrategy] = None,
         journal_path = os.path.join(dirpath, JOURNAL_FILE)
         records, torn_bytes = repair_journal(journal_path)
         store = SnapshotStore(os.path.join(dirpath, SNAPSHOT_DIR),
-                              metrics=metrics)
+                              metrics=registry)
         records = migrate_journal(journal_path, records, store)
         snap = store.latest()
 
         if snap is not None:
             snap_seq, payload = snap
             engine = engine_from_doc(payload["engine"], strategy=strategy)
+            delta_base = _delta_base(snap_seq, payload, engine)
             tail = [r for r in records if r.seq > snap_seq]
             seq = snap_seq
         else:
-            snap_seq = None
+            snap_seq = delta_base = None
             engine = TransformationEngine(parse_program(meta["source"]),
                                           strategy=strategy)
             tail = records
@@ -249,7 +306,8 @@ def recover(dirpath: str, *, strategy: Optional[UndoStrategy] = None,
             replay_command(engine, rec.cmd)
             seq = rec.seq
         span.tag(replayed=len(tail), snapshot_seq=snap_seq,
-                 torn_bytes=torn_bytes)
+                 torn_bytes=torn_bytes,
+                 skipped_snapshots=store.skipped_corrupt)
 
     registry.counter("repro_recoveries_total",
                      "session recoveries performed").inc()
@@ -262,7 +320,9 @@ def recover(dirpath: str, *, strategy: Optional[UndoStrategy] = None,
 
     result = RecoveryResult(engine=engine, seq=seq, replayed=len(tail),
                             snapshot_seq=snap_seq, torn_bytes=torn_bytes,
-                            meta=meta)
+                            meta=meta,
+                            skipped_snapshots=store.skipped_corrupt,
+                            delta_base=delta_base)
     if verify:
         have = {r.seq for r in records}
         missing = [s for s in range(1, seq + 1) if s not in have]

@@ -12,8 +12,11 @@ whole engine; the ones between are *deltas* against the last full
 snapshot — only the statements touched by events since then, the dirty
 history records, and the annotation/event tails — so steady-state
 snapshot cost is O(commands since the last full), not
-O(program + history).  Killing the process at any instant and calling
-:meth:`DurableSession.open` reconstructs the exact engine state via
+O(program + history).  The count runs across handles: a reopened
+session continues the delta chain of the snapshot it loaded, so an
+evict/reopen cycle pays for what changed, not for the history.  Killing
+the process at any instant and calling :meth:`DurableSession.open`
+reconstructs the exact engine state via
 :func:`repro.service.recovery.recover`.
 
 :class:`SessionManager` serves many named sessions from one root
@@ -53,7 +56,9 @@ from repro.service.journal import Journal, scan_journal
 from repro.service.recovery import (
     JOURNAL_FILE,
     SNAPSHOT_DIR,
+    DeltaBase,
     RecoveryResult,
+    log_cursors,
     meta_path,
     read_meta,
     recover,
@@ -69,7 +74,7 @@ from repro.service.serde import (
 )
 from repro.service.snapshot import SnapshotStore
 
-#: every Nth snapshot a handle cuts is full; the ones between are deltas
+#: every Nth snapshot of a session is full; the ones between are deltas
 #: against the last full (1 disables delta snapshots).
 SNAPSHOT_FULL_EVERY = 4
 
@@ -117,14 +122,18 @@ class DurableSession:
                                fsync_every=int(meta.get("fsync_every", 8)),
                                metrics=engine.metrics)
         self._since_snapshot = 0
-        # delta-snapshot state: the seq of the last full snapshot this
-        # handle wrote, how many deltas followed it, and the engine-side
-        # cursors (event/oplog/mutation extents) captured when it
-        # was cut.  None after open/create, so the first snapshot of any
-        # handle is always full — deltas never cross a process boundary.
-        self._last_full_seq: Optional[int] = None
-        self._deltas_since_full = 0
-        self._full_cursors: Optional[Dict[str, int]] = None
+        # the full snapshot the next delta is cut against — the one this
+        # handle wrote last, or the one recovery loaded (directly or
+        # under a delta), so delta chains continue across handles; None
+        # makes the next snapshot full
+        self._base: Optional[DeltaBase] = \
+            recovery.delta_base if recovery is not None else None
+        # the seq of the snapshot this handle loaded or wrote last: a
+        # snapshot() at that seq has nothing new to write (any other
+        # file at the current seq, e.g. a corrupt one recovery skipped,
+        # is rewritten)
+        self._snapshot_seq: Optional[int] = \
+            recovery.snapshot_seq if recovery is not None else None
         self._pending_edits: List[EditReport] = []
         self._closed = False
         #: the first journaling/snapshot failure, if any; once set, the
@@ -297,56 +306,45 @@ class DurableSession:
     def snapshot(self) -> Optional[str]:
         """Cut a snapshot (full or delta) now.
 
-        Returns the snapshot path, or ``None`` when there is nothing new
-        to snapshot.  A delta is written when a full snapshot from this
-        handle is still on disk and fewer than ``SNAPSHOT_FULL_EVERY - 1``
-        deltas followed it; otherwise a full snapshot is cut and the
-        delta cursors reset.  The ordering is load-bearing: the journal
-        is fsynced through ``seq`` *before* the snapshot is written and
-        renamed, and only then are old snapshots pruned — so a durable
-        snapshot never covers a command the journal could still lose.
-        The journal is never truncated, so a fallback from a corrupt
-        newest snapshot can always replay forward from an older one.
+        Returns the snapshot path, or ``None`` when the snapshot this
+        handle loaded or wrote already covers ``seq``.  A delta is
+        written when the base full snapshot (this handle's, or the one
+        recovery loaded) is still on disk and fewer than
+        ``SNAPSHOT_FULL_EVERY - 1`` deltas followed it; otherwise a full
+        snapshot is cut and becomes the base.  The ordering is
+        load-bearing: the journal is fsynced through ``seq`` *before*
+        the snapshot is written and renamed, and only then are old
+        snapshots pruned — so a durable snapshot never covers a command
+        the journal could still lose.  The journal is never truncated,
+        so a fallback from a corrupt newest snapshot can always replay
+        forward from an older one.
         """
-        if self.seq == 0 or self.seq in self.snapshots.seqs():
+        if self.seq == 0 or self.seq == self._snapshot_seq:
             self._since_snapshot = 0
             return None
-        on_disk = self.snapshots.seqs()
-        as_delta = (SNAPSHOT_FULL_EVERY > 1
-                    and self._last_full_seq is not None
-                    and self._full_cursors is not None
-                    and self._last_full_seq in on_disk
-                    and self._deltas_since_full < SNAPSHOT_FULL_EVERY - 1)
+        base = self._base
+        as_delta = (base is not None
+                    and base.chain < SNAPSHOT_FULL_EVERY - 1
+                    and (base.full_seq, None) in self.snapshots.entries())
         with self.tracer.span("snapshot"):
             self.journal.sync()
             if as_delta:
-                path = self.snapshots.write(self.seq, self._delta_payload(),
-                                            base=self._last_full_seq)
-                self._deltas_since_full += 1
+                path = self.snapshots.write(self.seq,
+                                            self._delta_payload(base),
+                                            base=base.full_seq)
+                base.chain += 1
             else:
                 payload = {"journal_seq": self.seq,
                            "engine": engine_to_doc(self.engine)}
                 path = self.snapshots.write(self.seq, payload)
-                self._mark_full()
+                self._base = DeltaBase(self.seq, log_cursors(self.engine))
             self.snapshots.prune(keep=2)
+        self._snapshot_seq = self.seq
         self._since_snapshot = 0
         return path
 
-    def _mark_full(self) -> None:
-        """Record a just-written full snapshot and capture delta cursors.
-
-        The cursors are the current extents of the engine's append-only
-        logs (events, annotation oplog, history mutation journal); the
-        next delta ships only what lies beyond them.
-        """
-        self._last_full_seq = self.seq
-        self._deltas_since_full = 0
-        self._full_cursors = {"events": len(self.engine.events),
-                              "anns": len(self.engine.store.oplog),
-                              "hist": len(self.engine.history.mutations)}
-
-    def _delta_payload(self) -> Dict[str, Any]:
-        """Build a delta payload against the last full snapshot.
+    def _delta_payload(self, base: DeltaBase) -> Dict[str, Any]:
+        """Build a delta payload against the base full snapshot.
 
         Changed statements are found from the event log: every event
         since the full snapshot contributes the subtree of its subject
@@ -358,8 +356,7 @@ class DurableSession:
         """
         engine = self.engine
         program = engine.program
-        cursors = self._full_cursors
-        assert cursors is not None
+        cursors = base.cursors
         tail = engine.events.since(cursors["events"])
         changed: set = set()
         for event in tail:
@@ -375,15 +372,17 @@ class DurableSession:
         detached = [sid for sid in sorted(program._infos)
                     if not program._infos[sid].attached
                     and program._infos[sid].parent is None]
-        dirty_stamps = set(engine.history.mutations[cursors["hist"]:])
+        dirty_stamps = set(base.stamps)
+        dirty_stamps.update(engine.history.mutations[cursors["hist"]:])
         history = {str(stamp): record_to_doc(engine.history.by_stamp(stamp))
                    for stamp in dirty_stamps}
-        ops = [[op, annotation_to_doc(ann)]
-               for op, ann in engine.store.oplog[cursors["anns"]:]]
+        ops = base.ops + [[op, annotation_to_doc(ann)]
+                          for op, ann in engine.store.oplog[cursors["anns"]:]]
         applier = engine.applier
         return {
             "journal_seq": self.seq,
-            "delta_of": self._last_full_seq,
+            "delta_of": base.full_seq,
+            "chain": base.chain + 1,
             "program": {"rows": rows,
                         "roots": [s.sid for s in program.body],
                         "detached": detached,

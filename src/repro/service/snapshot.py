@@ -25,7 +25,9 @@ the event-log tail (see
 :func:`repro.service.serde.resolve_snapshot_delta`).  :meth:`latest`
 resolves a delta against its base transparently, so consumers always
 receive a full payload.  Sessions fall back to a periodic full snapshot
-so delta chains stay one link long.
+so delta chains stay one link long; a delta records its ``chain``
+position (how many deltas against its base it completes), so a session
+reopened from it keeps cutting deltas against the same base.
 
 Each file is a version-2 envelope
 (:func:`repro.service.serde.dumps_envelope`): a JSON header line with
@@ -96,15 +98,19 @@ class SnapshotStore:
         an existing file for ``seq`` (full or delta) is preferred so
         callers can address any on-disk snapshot by seq alone.
         """
-        if base is not None:
-            return os.path.join(self.dirpath,
-                                f"snap-{seq:010d}-d{base:010d}.json")
-        if os.path.isdir(self.dirpath):
+        if base is None and os.path.isdir(self.dirpath):
             for name in os.listdir(self.dirpath):
                 m = _SNAP_RE.match(name)
                 if m and int(m.group(1)) == seq:
                     return os.path.join(self.dirpath, name)
-        return os.path.join(self.dirpath, f"snap-{seq:010d}.json")
+        return self._file(seq, base)
+
+    def _file(self, seq: int, base: Optional[int]) -> str:
+        """Path of exactly the full (``base`` None) or delta snapshot."""
+        if base is None:
+            return os.path.join(self.dirpath, f"snap-{seq:010d}.json")
+        return os.path.join(self.dirpath,
+                            f"snap-{seq:010d}-d{base:010d}.json")
 
     def entries(self) -> List[Tuple[int, Optional[int]]]:
         """On-disk snapshots as ``(seq, base_or_None)``, seq-ascending."""
@@ -116,7 +122,9 @@ class SnapshotStore:
             if m:
                 out.append((int(m.group(1)),
                             int(m.group(2)) if m.group(2) else None))
-        return sorted(out)
+        # a full and a delta can share a seq while a rewrite is between
+        # its rename and its cleanup; the full sorts first
+        return sorted(out, key=lambda e: (e[0], -1 if e[1] is None else e[1]))
 
     def seqs(self) -> List[int]:
         """Sequence numbers of the snapshots on disk, ascending."""
@@ -128,12 +136,18 @@ class SnapshotStore:
 
         ``base`` marks the payload as a delta against the full snapshot
         at that seq (encoded in the filename so pruning and resolution
-        never need to open the file).
+        never need to open the file).  A file already at ``seq`` — a
+        corrupt snapshot being rewritten — is replaced: the rename
+        overwrites one of the same form, and one of the other form is
+        removed after it.
         """
         started = time.perf_counter()
         os.makedirs(self.dirpath, exist_ok=True)
-        path = self.path_for(seq, base)
+        path = self._file(seq, base)
         write_envelope(path, payload, KIND_SNAPSHOT)
+        for other in self.entries():
+            if other[0] == seq and other[1] != base:
+                os.remove(self._file(*other))
         self.written += 1
         m = self.metrics
         m.counter("repro_snapshots_total", "snapshots durably written").inc()
@@ -147,30 +161,42 @@ class SnapshotStore:
 
     def load(self, seq: int) -> Dict[str, Any]:
         """Load and checksum-verify one snapshot (SerdeError on failure)."""
+        return self._read(self.path_for(seq))
+
+    def _read(self, path: str) -> Dict[str, Any]:
         try:
-            with open(self.path_for(seq), "rb") as fh:
+            with open(path, "rb") as fh:
                 data = fh.read()
         except OSError as exc:
-            raise SerdeError(f"snapshot {seq} unreadable: {exc}") from exc
+            raise SerdeError(f"snapshot {os.path.basename(path)} "
+                             f"unreadable: {exc}") from exc
         return loads_envelope(data, KIND_SNAPSHOT)
 
     def latest(self) -> Optional[Tuple[int, Dict[str, Any]]]:
         """The newest *valid* snapshot as ``(seq, payload)``, or ``None``.
 
         Delta snapshots are resolved against their base before being
-        returned, so the payload is always in full form.  Corrupt or
-        torn snapshots — and deltas whose base fails to load — are
-        skipped (newest first), so one bad file silently costs extra
-        replay work rather than the session.
+        returned, so the payload is always in full form; the delta
+        itself rides along under ``"delta"``, so a reopened session can
+        keep cutting deltas against the same base.  Corrupt or torn
+        snapshots — and deltas whose base fails to load — are skipped
+        (newest first, counted in ``repro_snapshots_skipped_total``), so
+        one bad file costs extra replay work rather than the session.
         """
         for seq, base in reversed(self.entries()):
             try:
-                payload = self.load(seq)
+                payload = self._read(self._file(seq, base))
                 if base is not None:
-                    payload = resolve_snapshot_delta(self.load(base), payload)
+                    delta = payload
+                    payload = resolve_snapshot_delta(
+                        self._read(self._file(base, None)), delta)
+                    payload["delta"] = delta
                 return seq, payload
             except SerdeError:
                 self.skipped_corrupt += 1
+                self.metrics.counter(
+                    "repro_snapshots_skipped_total",
+                    "corrupt snapshots skipped while loading").inc()
         return None
 
     def prune(self, keep: int = 2) -> int:
@@ -194,7 +220,7 @@ class SnapshotStore:
             if seq in kept:
                 continue
             try:
-                os.remove(self.path_for(seq, base))
+                os.remove(self._file(seq, base))
                 removed += 1
             except OSError:
                 pass

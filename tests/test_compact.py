@@ -45,6 +45,7 @@ from repro.service.serde import (
     state_fingerprint,
 )
 from repro.service.session import DurableSession
+from repro.service.snapshot import SnapshotStore
 from repro.workloads.generator import GeneratorConfig, generate_program
 from repro.workloads.scenarios import apply_greedy
 
@@ -203,6 +204,106 @@ def test_delta_snapshot_recovery_matches_full(tmp_path_factory, seed):
         reopened.close()
 
 
+@given(seed=st.integers(0, 60))
+@settings(max_examples=10, deadline=None)
+def test_delta_chains_across_handles_match_full(tmp_path_factory, seed):
+    """The twin above, with both sessions closed and reopened between
+    ``_drive`` rounds: a reopened delta session keeps cutting deltas
+    against the full snapshot an earlier handle wrote."""
+    from repro.lang.printer import format_program
+
+    base = tmp_path_factory.mktemp(f"chain{seed}")
+    src = format_program(generate_program(seed, CFG))
+    full_every = 3
+    writer = {}  # (seq, base) of each delta-twin snapshot -> its handle
+    real_write = SnapshotStore.write
+
+    def recording_write(store, seq, payload, base=None):
+        writer[(seq, base)] = handle
+        return real_write(store, seq, payload, base)
+
+    dirs = {"full": str(base / "full"), "delta": str(base / "delta")}
+    for mode in dirs:
+        DurableSession.create(dirs[mode], src, snapshot_every=2).close()
+    for handle, round_seed in enumerate((seed + 1, seed + 2, seed + 3)):
+        with mock.patch.object(session_mod, "SNAPSHOT_FULL_EVERY", 1):
+            s = DurableSession.open(dirs["full"])
+            _drive(s, round_seed, 3, 1)
+            s.close()
+        with mock.patch.object(session_mod, "SNAPSHOT_FULL_EVERY",
+                               full_every), \
+                mock.patch.object(SnapshotStore, "write", recording_write):
+            s = DurableSession.open(dirs["delta"])
+            resumed = s.recovery.delta_base
+            first = len(writer)
+            _drive(s, round_seed, 3, 1)
+            s.close()
+        mine = list(writer)[first:]
+        if mine and resumed is not None and resumed.chain < full_every - 1:
+            # the handle's first snapshot continues the loaded chain
+            assert mine[0][1] == resumed.full_seq
+            assert writer[(resumed.full_seq, None)] < handle
+    deltas = [key for key in writer if key[1] is not None]
+    for full_seq in {b for _seq, b in deltas}:
+        assert sum(b == full_seq for _seq, b in deltas) <= full_every - 1
+    crossed = [(seq, b) for seq, b in deltas
+               if writer[(b, None)] < writer[(seq, b)]]
+    on_disk = SnapshotStore(os.path.join(dirs["delta"], "snapshots"))
+    assert any(key in crossed for key in on_disk.entries()), writer
+    fingerprints = {}
+    for mode in dirs:
+        reopened = DurableSession.open(dirs[mode], verify=True)
+        assert reopened.recovery.verified is True
+        fingerprints[mode] = state_fingerprint(reopened.engine)
+        reopened.close()
+    assert fingerprints["full"] == fingerprints["delta"]
+
+
+def test_manager_ping_pong_evicts_with_deltas(tmp_path, monkeypatch):
+    """Two sessions through one live slot: every touch evicts the other.
+    Eviction snapshots follow the full-every cadence across handles —
+    after each full one, the next ``SNAPSHOT_FULL_EVERY - 1`` are deltas
+    against it, each written by a fresh handle."""
+    from repro.service.session import SessionManager
+
+    written = []  # (session, seq, base) in write order
+    real_write = SnapshotStore.write
+
+    def recording_write(store, seq, payload, base=None):
+        written.append((os.path.basename(os.path.dirname(store.dirpath)),
+                        seq, base))
+        return real_write(store, seq, payload, base)
+
+    monkeypatch.setattr(SnapshotStore, "write", recording_write)
+    manager = SessionManager(str(tmp_path), max_live=1, snapshot_every=0)
+    tiny = "c = 1\nx = c + 2\nwrite x\n"
+    manager.create("a", tiny)
+    manager.create("b", tiny)
+    stamps = {"a": None, "b": None}
+    for touch in range(20):
+        name = "ab"[touch % 2]
+        if stamps[name] is None:
+            stamps[name] = manager.apply(name, "ctp", 0).stamp
+        else:
+            manager.undo(name, stamps[name])
+            stamps[name] = None
+    manager.close_all()
+    assert manager.reopens >= 18
+    every = session_mod.SNAPSHOT_FULL_EVERY
+    for name in "ab":
+        mine = [(seq, base) for who, seq, base in written if who == name]
+        assert len(mine) > every
+        for i, (seq, base) in enumerate(mine):
+            if i % every == 0:
+                assert base is None, mine
+                full_seq = seq
+            else:
+                assert base == full_seq, mine
+        reopened = DurableSession.open(str(tmp_path / name), verify=True)
+        assert reopened.recovery.verified is True
+        reopened.close()
+
+
 # ---------------------------------------------------------------------------
 # Delta resolution: row codec and failure modes
 # ---------------------------------------------------------------------------
@@ -271,3 +372,28 @@ class TestDeltaResolution:
         reopened = DurableSession.open(str(tmp_path), verify=True)
         assert reopened.recovery.verified is True
         reopened.close()
+
+    def test_recovery_counts_the_skipped_delta(self, tmp_path):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.trace import Tracer
+        from repro.service.recovery import recover
+
+        s = DurableSession.create(str(tmp_path), SRC, snapshot_every=0)
+        s.apply("ctp", 0)
+        s.snapshot()
+        s.apply("cse", 0)
+        s.snapshot()
+        s.close()
+        (fseq, _), (dseq, dbase) = s.snapshots.entries()
+        with open(s.snapshots.path_for(dseq, dbase), "r+b") as fh:
+            fh.seek(8)
+            fh.write(b"garbage!")
+        registry = MetricsRegistry()
+        tracer = Tracer()
+        result = recover(str(tmp_path), metrics=registry, tracer=tracer)
+        assert result.snapshot_seq == fseq
+        assert result.skipped_snapshots == 1
+        assert registry.counter("repro_snapshots_skipped_total").value == 1
+        (span,) = [sp for sp in tracer.recorder.spans()
+                   if sp.name == "recover"]
+        assert span.tags["skipped_snapshots"] == 1

@@ -37,6 +37,20 @@ class TestRecordFormat:
         assert parse_record(b"not json") is None
         assert parse_record(b'{"seq": "x", "cmd": {}, "crc": ""}') is None
 
+    @pytest.mark.parametrize("mask", [0x01, 0x20, 0xFF])
+    def test_any_flipped_byte_is_rejected(self, mask):
+        # the CRC is checked on the bytes as written: a flip inside the
+        # body fails the hash, one inside the crc field fails the match
+        line = format_record(
+            12, {"op": "apply", "name": "cse", "params": {"k": 2},
+                 "stamp": 5, "note": 'a"crc":"0000000000000000"'}
+        ).rstrip(b"\n")
+        assert parse_record(line).seq == 12
+        for offset in range(len(line)):
+            flipped = bytearray(line)
+            flipped[offset] ^= mask
+            assert parse_record(bytes(flipped)) is None, offset
+
 
 class TestScan:
     def test_missing_file_is_empty(self, tmp_path):

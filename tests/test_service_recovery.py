@@ -321,6 +321,49 @@ class TestFuzzedSequences:
         assert state_fingerprint(result.engine) == \
             state_fingerprint(session.engine)
 
+    @pytest.mark.parametrize("corrupt,fallback,rewrite", [
+        ("full", None, (2, None)),
+        ("delta", 1, (2, 1)),
+        # a corrupt base takes its delta down too; the seq-2 snapshot
+        # is rewritten full and the stale delta removed
+        ("base", None, (2, None)),
+    ], ids=["full", "delta", "base"])
+    def test_corrupt_newest_snapshot_is_rewritten(self, tmp_path, corrupt,
+                                                  fallback, rewrite):
+        """A snapshot that failed its checksum does not block the next
+        one at the same seq: the reopened handle rewrites it, so later
+        reopens load it instead of replaying from the fallback again."""
+        sdir = str(tmp_path / "cr")
+        session = DurableSession.create(sdir, SRC, snapshot_every=0)
+        session.apply("ctp", 0)
+        if corrupt != "full":
+            session.snapshot()  # the full base at seq 1
+        session.apply("cse", 0)
+        session.snapshot()
+        session.close()
+        entries = session.snapshots.entries()
+        bad = entries[0] if corrupt == "base" else entries[-1]
+        path = session.snapshots.path_for(*bad)
+        with open(path, "r+b") as fh:
+            fh.seek(os.path.getsize(path) // 2)
+            fh.write(b"\xff\xff\xff\xff")
+        reopened = DurableSession.open(sdir)
+        assert reopened.recovery.snapshot_seq == fallback
+        assert reopened.recovery.replayed == 2 - (fallback or 0)
+        assert reopened.snapshot() == session.snapshots.path_for(*rewrite)
+        assert reopened.recovery.skipped_snapshots == len(entries) - (
+            fallback is not None)
+        reopened.close()
+        assert rewrite in session.snapshots.entries()
+        assert [seq for seq, _base in session.snapshots.entries()] \
+            == [seq for seq, _base in entries]
+        again = DurableSession.open(sdir, verify=True)
+        assert again.recovery.snapshot_seq == 2
+        assert again.recovery.replayed == 0
+        assert state_fingerprint(again.engine) == \
+            state_fingerprint(session.engine)
+        again.close()
+
     def test_meta_checksum_guard(self, tmp_path):
         """A session.json whose payload no longer matches its checksum
         fails recovery with RecoveryError, in both envelope versions."""
@@ -416,4 +459,63 @@ class TestV2Migration:
         # already migrated: the reopen left the journal alone
         assert os.stat(os.path.join(v2_dir, JOURNAL_FILE)).st_mtime_ns \
             == mtime
+        reopened.close()
+
+
+class TestSnapshotRewrite:
+    @pytest.mark.parametrize("first,second", [(None, 3), (3, None)])
+    def test_a_rewrite_leaves_one_file_per_seq(self, tmp_path, first,
+                                               second):
+        store = SnapshotStore(str(tmp_path / "snapshots"))
+        store.write(5, {"journal_seq": 5, "engine": {}}, base=first)
+        store.write(5, {"journal_seq": 5, "engine": {}}, base=second)
+        assert store.entries() == [(5, second)]
+
+    def test_a_rewrite_cut_before_its_cleanup_still_loads(self, tmp_path):
+        # the corrupt full at seq 2 was replaced by a delta, and the
+        # process died before removing the full: each entry is read
+        # from its own file, so the delta loads
+        sdir = str(tmp_path / "s")
+        session = DurableSession.create(sdir, SRC, snapshot_every=0)
+        session.apply("ctp", 0)
+        session.snapshot()
+        session.apply("cse", 0)
+        session.snapshot()
+        session.close()
+        assert session.snapshots.entries() == [(1, None), (2, 1)]
+        with open(os.path.join(session.snapshots.dirpath,
+                               "snap-0000000002.json"), "wb") as fh:
+            fh.write(b"torn")
+        store = SnapshotStore(session.snapshots.dirpath)
+        assert store.entries() == [(1, None), (2, None), (2, 1)]
+        seq, payload = store.latest()
+        assert (seq, payload["delta"]["delta_of"]) == (2, 1)
+        assert store.skipped_corrupt == 0
+
+
+class TestReopenCost:
+    def test_reopen_renders_no_journal_record(self, tmp_path, monkeypatch):
+        """Reopening checks every record's CRC on the bytes as written
+        and decodes only the replayed tail, so it never renders JSON."""
+        import json
+        from types import SimpleNamespace
+
+        from repro.service import journal as journal_mod
+
+        sdir = str(tmp_path / "long")
+        session = DurableSession.create(sdir, "c = 1\nx = c + 2\nwrite x\n")
+        for _ in range(100):
+            session.undo(session.apply("ctp", 0).stamp)
+        live = state_fingerprint(session.engine)
+        session.close()
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a journal record was rendered")
+
+        monkeypatch.setattr(journal_mod, "json",
+                            SimpleNamespace(loads=json.loads, dumps=refuse))
+        reopened = DurableSession.open(sdir)
+        assert reopened.seq == 200
+        assert 0 < reopened.recovery.replayed < 200
+        assert state_fingerprint(reopened.engine) == live
         reopened.close()
