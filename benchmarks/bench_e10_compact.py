@@ -23,6 +23,18 @@ incremental structures:
    loop-indexed table, instead of scanning every edge per query.
    Measured: edges visited (``query_visits``) vs. the full-scan
    baseline, with the indexed results asserted identical.
+4. **Sibling orderer.**  The cross-record orderer keeps its precedence
+   relation across queries and folds in only the actions appended since
+   the last one, instead of rebuilding the relation over every location
+   snapshot in the history.  Measured on a ``blocks=24`` program run
+   through large-cascade's refill/undo-oldest loop, at histories of
+   40/120/240 records: the first query of a fresh orderer (a whole-history
+   fold vs the pairwise rebuild) and the query after each undo (the fold
+   of that undo's new actions vs a rebuild).
+5. **Dataflow facts.**  ``analyze_dataflow`` keeps its per-statement
+   bitsets and decodes a statement's frozenset on first read.  Measured:
+   ms per run, reading nothing vs decoding every statement's facts (the
+   eager conversion it replaced).
 
 All tables print with ``pytest benchmarks/bench_e10_compact.py -s``.
 """
@@ -32,9 +44,12 @@ import time
 
 import numpy as np
 
+from repro.analysis.dataflow import analyze_dataflow
 from repro.analysis.depend import analyze_dependences
-from repro.bench.reporting import BenchReport, banner, ms, ratio, scaled
+from repro.bench.reporting import BenchReport, banner, ms, quick, ratio, scaled
 from repro.core.engine import TransformationEngine
+from repro.core.locations import make_sibling_orderer
+from repro.core.undo import UndoError
 from repro.lang.ast_nodes import Loop
 from repro.lang.printer import format_program
 from repro.service import session as session_mod
@@ -44,6 +59,7 @@ from repro.service.session import DurableSession
 from repro.service.snapshot import SnapshotStore
 from repro.workloads.generator import GeneratorConfig, generate_program
 from repro.workloads.scenarios import apply_greedy
+from tests.test_locations import cascade_refill, rebuild_orderer
 
 REPORT = BenchReport("bench_e10_compact")
 
@@ -54,6 +70,12 @@ N_OPS = 6
 TINY_SRC = "c = 1\nx = c + 2\nwrite x\n"
 TINY_COMMANDS = 200
 ENVELOPE_REPEATS = 7
+#: sibling orderer: history lengths (records) measured, and undo cycles
+#: averaged per length.
+ORDERER_HISTORIES = scaled([40, 120, 240])
+ORDERER_CYCLES = 5
+#: dataflow decode: programs (``blocks=24``) analysed per mode.
+DATAFLOW_PROGRAMS = 4 if quick() else 12
 
 
 def _timed(fn):
@@ -222,3 +244,108 @@ def test_e10_dependence_queries():
     REPORT.value("dep_query_visit_ratio", round(visit_ratio, 4))
     # the index must not visit more edges than the scan it replaces
     assert visit_ratio < 1.0
+
+
+# ---------------------------------------------------------------------------
+# 4. sibling orderer: fold new actions vs rebuild over the history
+# ---------------------------------------------------------------------------
+
+
+class CascadeLoop:
+    """large-cascade's loop on one engine: refill to 41 active
+    transformations, then undo the oldest."""
+
+    def __init__(self, seed: int):
+        self.engine = TransformationEngine(
+            generate_program(seed, GeneratorConfig(blocks=24)))
+        self.rng = np.random.default_rng(seed)
+        self.state = {"next": 0}
+        cascade_refill(self.engine, self.rng, 40, self.state)
+
+    def cycle(self) -> None:
+        cascade_refill(self.engine, self.rng, 41, self.state)
+        try:
+            self.engine.undo(self.engine.history.active()[0].stamp)
+        except UndoError:
+            pass
+
+
+def test_e10_sibling_orderer():
+    banner("E10 — sibling orderer: fold new actions vs rebuild the "
+           "precedence relation")
+    t = REPORT.table(
+        ["history", "actions", "first query fold", "first query rebuild",
+         "per undo fold", "per undo rebuild", "speedup"],
+        title="E10 — sibling orderer cost by history length (blocks=24)")
+    loop = CascadeLoop(SEED)
+    engine = loop.engine
+    history = engine.history
+    body = engine.program.body
+    pair = (body[0].sid, body[-1].sid)
+    fold = make_sibling_orderer(history)
+    rebuild = rebuild_orderer(history)
+    speedup = 0.0
+    for size in ORDERER_HISTORIES:
+        while len(history) < size - ORDERER_CYCLES:
+            loop.cycle()
+        fold_s = rebuild_s = 0.0
+        for _ in range(ORDERER_CYCLES):
+            loop.cycle()
+            got, dt = _timed(lambda: fold(*pair))
+            fold_s += dt
+            want, dt = _timed(lambda: rebuild(*pair))
+            rebuild_s += dt
+            assert got == want
+        first_fold = float(np.median(
+            [_timed(lambda: make_sibling_orderer(history)(*pair))[1]
+             for _ in range(3)]))
+        first_rebuild = float(np.median(
+            [_timed(lambda: rebuild_orderer(history)(*pair))[1]
+             for _ in range(3)]))
+        speedup = rebuild_s / max(fold_s, 1e-9)
+        t.add(len(history),
+              sum(len(r.actions) for r in history.all_records()),
+              ms(first_fold), ms(first_rebuild),
+              ms(fold_s / ORDERER_CYCLES), ms(rebuild_s / ORDERER_CYCLES),
+              ratio(rebuild_s, max(fold_s, 1e-9)))
+    t.show()
+    # values at the longest history
+    REPORT.value("orderer_first_query_fold_ms", round(1e3 * first_fold, 3))
+    REPORT.value("orderer_first_query_rebuild_ms",
+                 round(1e3 * first_rebuild, 3))
+    REPORT.value("orderer_fold_speedup", round(speedup, 2))
+    # folding a cycle's new actions must beat re-reading the history
+    assert speedup > 1.0
+
+
+# ---------------------------------------------------------------------------
+# 5. dataflow facts: decode on demand vs eager
+# ---------------------------------------------------------------------------
+
+
+def test_e10_dataflow_decode():
+    banner("E10 — dataflow facts: decode on demand vs decode every "
+           "statement")
+    programs = [generate_program(SEED + k, GeneratorConfig(blocks=24))
+                for k in range(DATAFLOW_PROGRAMS)]
+    lazy_s = eager_s = 0.0
+    for program in programs:
+        analyze_dataflow(program)  # warm the per-statement memos
+        _, dt = _timed(lambda: analyze_dataflow(program))
+        lazy_s += dt
+
+        def eager():
+            res = analyze_dataflow(program)
+            for facts in (res.reach_in, res.live_out, res.avail_in):
+                for sid in facts:
+                    facts[sid]
+        _, dt = _timed(eager)
+        eager_s += dt
+    n = len(programs)
+    t = REPORT.table(["mode", "programs", "ms per run"],
+                     title="E10 — analyze_dataflow, blocks=24")
+    t.add("decode on demand", n, ms(lazy_s / n))
+    t.add("decode every statement", n, ms(eager_s / n))
+    t.show()
+    REPORT.value("dataflow_lazy_ms", round(1e3 * lazy_s / n, 3))
+    REPORT.value("dataflow_eager_ms", round(1e3 * eager_s / n, 3))

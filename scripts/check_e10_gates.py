@@ -8,11 +8,14 @@ build unless
 * ``fingerprint_incremental_speedup > 1.0`` — maintaining the state
   fingerprint incrementally beats re-hashing the engine from scratch;
 * ``delta_snapshot_bytes_ratio < 1.0`` — a delta snapshot is smaller
-  than the full snapshot it references.
+  than the full snapshot it references;
+* ``orderer_fold_speedup > 1.0`` — the sibling orderer folds an undo's
+  new actions faster than it could rebuild its relation over the
+  whole history.
 
-These are the two regressions the compact core exists to prevent: if
-either gate fails, the O(delta) path has silently degraded to the
-O(state) path it replaced.  Run from the repository root:
+These are the regressions the compact core exists to prevent: if any
+gate fails, an O(delta) path has silently degraded to the O(state)
+path it replaced.  Run from the repository root:
 
     python scripts/check_e10_gates.py
 """
@@ -29,6 +32,7 @@ REPORT = (Path(__file__).resolve().parent.parent
 GATES = [
     ("fingerprint_incremental_speedup", "gt", 1.0),
     ("delta_snapshot_bytes_ratio", "lt", 1.0),
+    ("orderer_fold_speedup", "gt", 1.0),
 ]
 
 

@@ -17,8 +17,10 @@ load uses the whole array).  Subscript-precise reasoning lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.analysis.cfg import CFG, build_cfg
 from repro.lang.ast_nodes import (
@@ -45,17 +47,45 @@ def _aname(name: str) -> str:
     return "@" + name
 
 
+class BitsetFacts(Mapping):
+    """Read-only ``sid → frozenset`` view over per-statement bitsets
+    (bit ``i`` ↔ ``universe[i]``), decoded per sid on first read and
+    memoised: consumers read a few sids per run, not every statement."""
+
+    def __init__(self, bits: Dict[int, int], universe: Sequence) -> None:
+        self._bits = bits
+        self._universe = universe
+        self._decoded: Dict[int, FrozenSet] = {}
+
+    def __getitem__(self, sid: int) -> FrozenSet:
+        out = self._decoded.get(sid)
+        if out is None:
+            universe = self._universe
+            out = frozenset(universe[i] for i in iter_bits(self._bits[sid]))
+            self._decoded[sid] = out
+        return out
+
+    def __contains__(self, sid: object) -> bool:
+        return sid in self._bits
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._bits)
+
+    def __len__(self) -> int:
+        return len(self._bits)
+
+
 @dataclass
 class DataflowResult:
     """All flow facts for one program snapshot."""
 
     cfg: CFG
     #: definitions reaching the *entry* of each statement.
-    reach_in: Dict[int, FrozenSet[Definition]]
+    reach_in: Mapping[int, FrozenSet[Definition]]
     #: scalar/array names live *after* each statement.
-    live_out: Dict[int, FrozenSet[str]]
+    live_out: Mapping[int, FrozenSet[str]]
     #: available expression keys at the entry of each statement.
-    avail_in: Dict[int, FrozenSet[Tuple]]
+    avail_in: Mapping[int, FrozenSet[Tuple]]
     #: def-use chains: definition → sids of statements using it.
     du_chains: Dict[Definition, FrozenSet[int]]
     #: use-def chains: (use sid, name) → sids of reaching definitions.
@@ -130,8 +160,9 @@ def analyze_dataflow(program: Program, cfg: Optional[CFG] = None) -> DataflowRes
 
     The fixpoints run on int bitsets — one bit per definition, name, or
     expression key, so a block transfer is a few machine-word bitwise
-    operations instead of Python set churn — and the facts cross the
-    :class:`DataflowResult` boundary as frozensets, exactly as before.
+    operations instead of Python set churn.  The per-statement facts
+    stay bitsets behind :class:`BitsetFacts`, which hands each sid out
+    as a frozenset only when it is read.
     """
     if cfg is None:
         cfg = build_cfg(program)
@@ -196,13 +227,11 @@ def analyze_dataflow(program: Program, cfg: Optional[CFG] = None) -> DataflowRes
 
     # statement-level reach-in by walking each block
     reach_bits: Dict[int, int] = {}
-    reach_in: Dict[int, FrozenSet[Definition]] = {}
     for bid, block in cfg.blocks.items():
         cur = rd_in[bid]
         for sid in block.stmts:
             visited += 1
             reach_bits[sid] = cur
-            reach_in[sid] = frozenset(def_list[i] for i in iter_bits(cur))
             for name in stmt_defs[sid]:
                 if not name.startswith("@"):
                     cur &= ~name_mask[name]
@@ -268,12 +297,12 @@ def analyze_dataflow(program: Program, cfg: Optional[CFG] = None) -> DataflowRes
                 lv_out[bid] = new_out
                 changed = True
 
-    live_out: Dict[int, FrozenSet[str]] = {}
+    live_bits: Dict[int, int] = {}
     for bid, block in cfg.blocks.items():
         cur = lv_out[bid]
         for sid in reversed(block.stmts):
             visited += 1
-            live_out[sid] = frozenset(names[i] for i in iter_bits(cur))
+            live_bits[sid] = cur
             cur &= ~(defs_bits[sid] & scalar_mask)
             cur |= uses_bits[sid]
 
@@ -334,12 +363,12 @@ def analyze_dataflow(program: Program, cfg: Optional[CFG] = None) -> DataflowRes
                 av_out[bid] = new_out
                 changed = True
 
-    avail_in: Dict[int, FrozenSet[Tuple]] = {}
+    avail_bits: Dict[int, int] = {}
     for bid, block in cfg.blocks.items():
         cur = av_in[bid]
         for sid in block.stmts:
             visited += 1
-            avail_in[sid] = frozenset(key_list[i] for i in iter_bits(cur))
+            avail_bits[sid] = cur
             key = stmt_eval[sid]
             if key is not None:
                 cur |= key_bit[key]
@@ -347,9 +376,9 @@ def analyze_dataflow(program: Program, cfg: Optional[CFG] = None) -> DataflowRes
 
     return DataflowResult(
         cfg=cfg,
-        reach_in=reach_in,
-        live_out=live_out,
-        avail_in=avail_in,
+        reach_in=BitsetFacts(reach_bits, def_list),
+        live_out=BitsetFacts(live_bits, names),
+        avail_in=BitsetFacts(avail_bits, key_list),
         du_chains={k: frozenset(v) for k, v in du.items()},
         ud_chains={k: frozenset(v) for k, v in ud.items()},
         visited_nodes=visited,

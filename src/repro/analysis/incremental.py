@@ -5,6 +5,15 @@ every inverse action (Figure 4, line 13).  This cache provides:
 
 * **version-checked laziness** — analyses are recomputed only when the
   program actually changed since they were built;
+* **getters that catch up from the log** — a stale dependence graph,
+  control tree, summary set or PDG is patched by
+  :meth:`AnalysisCache.update_after_events` (after applies as after
+  undos) when the log accounts for the program's current version: the
+  applier stamps ``program.version`` on the log after every event.  A
+  mutation outside the log (the spec compiler's safety pre-image)
+  leaves the two apart; the getter then rebuilds, and what it builds
+  gets no cursor, so it is never patched.  A non-regional ``policy``
+  always rebuilds;
 * **genuinely regional dependence updates** — after a change-event batch
   :meth:`AnalysisCache.update_dependences` re-examines only the pairs
   with an endpoint in the touched region, via the persistent
@@ -156,9 +165,13 @@ class AnalysisCache:
     dependence graph pays nothing for it.
     """
 
-    def __init__(self, program: Program, events: Optional[EventLog] = None):
+    def __init__(self, program: Program, events: Optional[EventLog] = None,
+                 policy=None):
         self.program = program
         self.events = events
+        #: the engine's ``UndoStrategy``: getters catch up from the log
+        #: only under a regional one (``None`` counts as regional).
+        self.policy = policy
         self.counters = WorkCounters()
         self._cfg: Optional[Tuple[int, CFG]] = None
         self._dataflow: Optional[Tuple[int, DataflowResult]] = None
@@ -168,16 +181,39 @@ class AnalysisCache:
         self._summaries: Optional[Tuple[int, RegionSummaries]] = None
         #: the persistent name → statement index behind regional updates.
         self._index: Optional[DefUseIndex] = None
-        # log positions each cached analysis / the index is current with
+        # log positions the index and each cached analysis are current
+        # with (None: built at a version the log does not account for)
         self._index_cursor = 0
-        self._dep_cursor = 0
-        self._tree_cursor = 0
-        self._summ_cursor = 0
+        self._dep_cursor: Optional[int] = 0
+        self._tree_cursor: Optional[int] = 0
+        self._summ_cursor: Optional[int] = 0
 
     # -- event-log plumbing ----------------------------------------------------
 
     def _log_end(self) -> int:
         return self.events.cursor() if self.events is not None else 0
+
+    def _logged(self) -> bool:
+        """Whether the log accounts for the program's current version."""
+        return (self.events is not None
+                and self.events.version == self.program.version)
+
+    def _anchor(self) -> Optional[int]:
+        """Cursor for an analysis built now (``None``: not patchable)."""
+        if self.events is not None and not self._logged():
+            return None
+        return self._log_end()
+
+    def _catch_up(self, entry: Optional[Tuple[int, object]]) -> None:
+        """Patch a stale ``entry`` (and its peers) from the log, if the
+        log and the policy allow; otherwise the getter rebuilds it."""
+        if entry is None or entry[0] == self.program.version:
+            return
+        policy = self.policy
+        if self._logged() and (policy is None or (
+                policy.use_incremental
+                and policy.incremental_strategy == REGIONAL)):
+            self.update_after_events()
 
     def _slice_since(self, cursor: int,
                      fallback: Optional[Sequence[Event]]) -> List[Event]:
@@ -210,7 +246,8 @@ class AnalysisCache:
         return self._dataflow[1]
 
     def dependences(self) -> DependenceGraph:
-        """The (version-checked) dependence graph."""
+        """The (version-checked, log-patched) dependence graph."""
+        self._catch_up(self._deps)
         v = self.program.version
         if self._deps is None or self._deps[0] != v:
             with self.counters.timed("dependence_full"):
@@ -218,20 +255,22 @@ class AnalysisCache:
             self.counters.dependence_runs += 1
             self.counters.dependence_pairs += g.visited_pairs
             self._deps = (v, g)
-            self._dep_cursor = self._log_end()
+            self._dep_cursor = self._anchor()
         return self._deps[1]
 
     def control_tree(self) -> ControlDepTree:
-        """The (version-checked) control-dependence tree."""
+        """The (version-checked, log-patched) control-dependence tree."""
+        self._catch_up(self._tree)
         v = self.program.version
         if self._tree is None or self._tree[0] != v:
             with self.counters.timed("control_tree"):
                 self._tree = (v, build_control_dep_tree(self.program))
-            self._tree_cursor = self._log_end()
+            self._tree_cursor = self._anchor()
         return self._tree[1]
 
     def pdg(self) -> PDG:
-        """The (version-checked) program dependence graph."""
+        """The (version-checked, log-patched) program dependence graph."""
+        self._catch_up(self._pdg)
         v = self.program.version
         if self._pdg is None or self._pdg[0] != v:
             with self.counters.timed("pdg_assemble"):
@@ -240,13 +279,14 @@ class AnalysisCache:
         return self._pdg[1]
 
     def summaries(self) -> RegionSummaries:
-        """The (version-checked) region-node dependence summaries."""
+        """The (version-checked, log-patched) region-node summaries."""
+        self._catch_up(self._summaries)
         v = self.program.version
         if self._summaries is None or self._summaries[0] != v:
             with self.counters.timed("summaries_build"):
                 self._summaries = (v, build_summaries(
                     self.program, self.control_tree(), self.dependences()))
-            self._summ_cursor = self._log_end()
+            self._summ_cursor = self._anchor()
         return self._summaries[1]
 
     def defuse_index(self) -> DefUseIndex:
@@ -291,12 +331,13 @@ class AnalysisCache:
         cases ``incremental_pairs`` advances by the pairs *actually
         examined*.
         """
-        if self._deps is None:
+        if self._deps is None or self._dep_cursor is None:
+            self._deps = None  # nothing the log can patch
             return self.dependences()
         v = self.program.version
         if self._deps[0] == v:
             # graph already current; just advance the cursor
-            self._dep_cursor = self._log_end()
+            self._dep_cursor = self._anchor()
             return self._deps[1]
 
         if strategy == FULL:
@@ -319,7 +360,7 @@ class AnalysisCache:
             self.counters.incremental_pairs += result.visited_pairs
 
         self._deps = (v, graph)
-        self._dep_cursor = self._log_end()
+        self._dep_cursor = self._anchor()
         return graph
 
     def update_after_events(self, events: Optional[Sequence[Event]] = None,
@@ -345,6 +386,11 @@ class AnalysisCache:
             self._index = None
             return
 
+        # analyses built off the log cannot be patched from it
+        if self._tree_cursor is None:
+            self._tree = None
+        if self._summ_cursor is None:
+            self._summaries = None
         v = self.program.version
         graph: Optional[DependenceGraph] = None
         touched_for_summ: Set[int] = set()
@@ -367,7 +413,7 @@ class AnalysisCache:
                     update_control_tree(tree, self.program, evs)
                 self.counters.control_tree_updates += 1
                 self._tree = (v, tree)
-            self._tree_cursor = self._log_end()
+            self._tree_cursor = self._anchor()
 
         if self._summaries is not None:
             summ = self._summaries[1]
@@ -381,7 +427,7 @@ class AnalysisCache:
                                          touched_for_summ, graph)
                     self.counters.summary_updates += 1
                     self._summaries = (v, summ)
-                self._summ_cursor = self._log_end()
+                self._summ_cursor = self._anchor()
 
         if self._pdg is not None:
             if tree is None or graph is None:

@@ -153,6 +153,8 @@ class ActionApplier:
         self.program = program
         self.store = store if store is not None else AnnotationStore()
         self.events = events if events is not None else EventLog()
+        # the log accounts for the program as the applier finds it
+        self.events.version = program.version
         self._next_action_id = 1
         #: instrumentation: actions applied / inverted.
         self.applied_count = 0
@@ -205,6 +207,7 @@ class ActionApplier:
         self.events.emit(Event(kind=kind, sid=sid, containers=tuple(containers),
                                stamp=rec.stamp, action_id=rec.action_id,
                                inverse=inverse))
+        self.events.version = self.program.version
 
     # -- forward actions ---------------------------------------------------------
 

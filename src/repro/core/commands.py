@@ -587,6 +587,7 @@ class EditCommand(Command):
         from repro.edit.edits import EditReport
 
         applier = engine.applier
+        cursor = applier.events.cursor()
         if self.kind == "add":
             act = applier.add(rec.stamp, self.stmt, self.loc)
         elif self.kind == "delete":
@@ -596,7 +597,7 @@ class EditCommand(Command):
         else:  # modify (EDIT_KINDS-validated at construction)
             act = applier.modify(rec.stamp, self.sid, self.path, self.expr)
         rec.actions.append(act)
-        return EditReport(record=rec)
+        return EditReport(record=rec, event_cursor=cursor)
 
     # -- replay --------------------------------------------------------------
 

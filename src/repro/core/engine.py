@@ -132,8 +132,9 @@ class TransformationEngine:
         #: never allowed to corrupt the already-committed command.
         self.observer_errors: "deque[Tuple[str, BaseException]]" = \
             deque(maxlen=16)
-        self.cache = AnalysisCache(program, events=self.applier.events)
         self.strategy = strategy if strategy is not None else UndoStrategy()
+        self.cache = AnalysisCache(program, events=self.applier.events,
+                                   policy=self.strategy)
         self._undo_engine = UndoEngine(program, self.applier, self.history,
                                        self.cache, self.registry,
                                        self.strategy, metrics=self.metrics)

@@ -79,6 +79,10 @@ class EventLog:
     def __init__(self) -> None:
         self._events: List[Event] = []
         self._digest = EMPTY_LOG_DIGEST
+        #: ``program.version`` right after the latest event (set by the
+        #: applier); analysis caches patch from the log only when it
+        #: still equals the program's version.
+        self.version: Optional[int] = None
 
     @property
     def digest(self) -> str:

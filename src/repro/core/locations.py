@@ -29,7 +29,7 @@ the post-pattern checks in :mod:`repro.transforms.base`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.lang.ast_nodes import ContainerRef, Program
 
@@ -159,8 +159,8 @@ class Location:
         return f"{where}[{self.index}]"
 
 
-def make_sibling_orderer(history) -> Orderer:
-    """Build an orderer that consults the shared transformation history.
+class SiblingOrderer:
+    """An orderer that consults the shared transformation history.
 
     Every location snapshot in the history totally orders the statements
     it saw (``before + [located stmt] + after``).  We combine all
@@ -172,36 +172,68 @@ def make_sibling_orderer(history) -> Orderer:
     share snapshots with common neighbours (e.g. a strip-mining outer
     loop is tied to the loop it wrapped, which the deleted statement's
     own snapshot orders).
+
+    The relation is kept across queries; each query folds in only the
+    actions appended since, found through a cursor into
+    ``history.mutations``.  Action ids grow in stamp order and within a
+    record, and actions are only appended (rollback inverts, never
+    removes), so a newly folded snapshot wins every pair it contains and
+    overwrites them with set operations.  An action whose id is not
+    above the last folded one breaks that invariant and refolds the
+    whole history in id order, as the first query does.
     """
-    cache = {"key": None, "succ": None}
 
-    def build():
-        # pair -> (action_id, "<" or ">") with latest action winning
-        best = {}
-        n_actions = 0
-        for rec in history.all_records():
-            for act in rec.actions:
-                n_actions += 1
-                for loc in (act.from_loc, act.to_loc):
-                    if loc is None:
-                        continue
-                    seq = list(loc.before_sids) + [act.sid] + list(loc.after_sids)
-                    for i, u in enumerate(seq):
-                        for v in seq[i + 1:]:
-                            if u == v:
-                                continue
-                            key = (u, v) if u < v else (v, u)
-                            order = "<" if u < v else ">"
-                            prev = best.get(key)
-                            if prev is None or act.action_id >= prev[0]:
-                                best[key] = (act.action_id, order)
-        succ = {}
-        for (u, v), (_aid, order) in best.items():
-            a, b = (u, v) if order == "<" else (v, u)
-            succ.setdefault(a, set()).add(b)
-        return n_actions, succ
+    def __init__(self, history) -> None:
+        self.history = history
+        #: statement → statements it precedes.
+        self._succ: Dict[int, Set[int]] = {}
+        #: stamp → how many of that record's actions are folded in.
+        self._folded: Dict[int, int] = {}
+        self._cursor: Optional[int] = None  # None = refold everything
+        self._last_id = 0
+        #: instrumentation: folds of the whole history.
+        self.refolds = 0
 
-    def reachable(succ, src: int, dst: int) -> bool:
+    def _fold(self, acts) -> None:
+        succ = self._succ
+        for act in acts:
+            for loc in (act.from_loc, act.to_loc):
+                if loc is None:
+                    continue
+                seq = loc.before_sids + (act.sid,) + loc.after_sids
+                for i, u in enumerate(seq):
+                    s = succ.setdefault(u, set())
+                    s.difference_update(seq[:i])
+                    s.update(seq[i + 1:])
+                    s.discard(u)
+            self._last_id = act.action_id
+
+    def _catch_up(self) -> None:
+        history = self.history
+        if self._cursor is None:
+            # first query, or a broken invariant: fold every record
+            self.refolds += 1
+            self._succ.clear()
+            self._folded.clear()
+            self._last_id = 0
+            stamps = [rec.stamp for rec in history.all_records()]
+        else:
+            stamps = dict.fromkeys(history.mutations[self._cursor:])
+        self._cursor = len(history.mutations)
+        new = []
+        for stamp in stamps:
+            actions = history.by_stamp(stamp).actions
+            new.extend(actions[self._folded.get(stamp, 0):])
+            self._folded[stamp] = len(actions)
+        new.sort(key=lambda a: a.action_id)
+        if new and new[0].action_id <= self._last_id:
+            self._cursor = None
+            self._catch_up()
+        else:
+            self._fold(new)
+
+    def _reachable(self, src: int, dst: int) -> bool:
+        succ = self._succ
         seen = {src}
         stack = [src]
         while stack:
@@ -214,18 +246,17 @@ def make_sibling_orderer(history) -> Orderer:
                     stack.append(nxt)
         return False
 
-    def orderer(x_sid: int, self_sid: int) -> Optional[str]:
-        key = sum(len(r.actions) for r in history.all_records())
-        if cache["key"] != key:
-            cache["key"] = key
-            _n, cache["succ"] = build()
-        succ = cache["succ"]
-        x_first = reachable(succ, x_sid, self_sid)
-        self_first = reachable(succ, self_sid, x_sid)
+    def __call__(self, x_sid: int, self_sid: int) -> Optional[str]:
+        self._catch_up()
+        x_first = self._reachable(x_sid, self_sid)
+        self_first = self._reachable(self_sid, x_sid)
         if x_first and not self_first:
             return X_FIRST
         if self_first and not x_first:
             return SELF_FIRST
         return None
 
-    return orderer
+
+def make_sibling_orderer(history) -> Orderer:
+    """The :class:`SiblingOrderer` over ``history``."""
+    return SiblingOrderer(history)

@@ -33,6 +33,8 @@ class EditReport:
     """One applied edit plus its fallout."""
 
     record: TransformationRecord
+    #: event-log position when the edit ran (its events follow it).
+    event_cursor: int = 0
     #: stamps of transformations the edit made unsafe (filled by
     #: :func:`repro.edit.invalidate.find_unsafe` when requested).
     unsafe: List[int] = field(default_factory=list)

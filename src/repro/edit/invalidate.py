@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.engine import TransformationEngine
-from repro.core.events import Event
 from repro.core.regions import (
     affected_names,
     affected_regions,
@@ -48,13 +47,10 @@ def find_unsafe(engine: TransformationEngine, report: EditReport,
                 *, use_regional: bool = True) -> InvalidationStats:
     """Identify transformations whose safety the edit destroyed."""
     stats = InvalidationStats()
-    events: List[Event] = []
-    for act in report.record.actions:
-        events = engine.events.all()
-        break
-    # events from this edit only
+    # events from this edit only: its slice of the log onwards
     edit_ids = {a.action_id for a in report.record.actions}
-    events = [e for e in engine.events.all() if e.action_id in edit_ids]
+    events = [e for e in engine.events.since(report.event_cursor)
+              if e.action_id in edit_ids]
     region: Optional[Set[int]] = None
     names = None
     if use_regional:

@@ -8,6 +8,8 @@ criterion: on a ≥200-statement program an undo-driven update examines
 the wall-clock timers.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,11 @@ from repro.analysis.depend import analyze_dependences
 from repro.analysis.incremental import FULL, REGIONAL, AnalysisCache
 from repro.analysis.regional import DefUseIndex, bitset_to_sids
 from repro.analysis.summaries import build_summaries
+from repro.core.engine import TransformationEngine
 from repro.core.undo import UndoError, UndoStrategy
+from repro.lang.parser import parse_program
+from repro.spec import CTP_SPEC, DCE_SPEC, LRV_SPEC, compile_spec
+from repro.spec.dsl import Pred
 from repro.workloads.generator import GeneratorConfig, generate_program
 from repro.workloads.scenarios import apply_greedy, build_session
 
@@ -216,3 +222,100 @@ class TestAcceptanceCriterion:
                     max(c1["dependence_runs"], 1))
         upd_avg = c1["timers"]["dependence_update"] / updates
         assert upd_avg < full_avg
+
+
+def consulting_dependences(spec):
+    """``spec`` plus a precondition that reads the dependence graph, so
+    its safety re-check asks for the graph inside the pre-image (deleted
+    statements put back and modifications rolled back, unlogged)."""
+    reads = Pred("reads_dependences", spec.variables[:1],
+                 lambda program, cache, b: bool(cache.dependences().deps),
+                 "the program has no dependences")
+    return replace(spec, name="d" + spec.name,
+                   pre_conditions=spec.pre_conditions + [reads])
+
+
+class TestGettersCatchUp:
+    """Stale getters patch from the log instead of rebuilding — but only
+    when the log accounts for the program's current version."""
+
+    @pytest.mark.parametrize("seed", [4, 17])
+    def test_forward_applies_are_patched_not_rebuilt(self, seed):
+        session = build_session(seed, 6)
+        engine = session.engine
+        cache = engine.cache
+        cache.dependences()
+        cache.control_tree()
+        cache.summaries()
+        cache.pdg()
+        runs = cache.counters.dependence_runs
+        updates = cache.counters.incremental_updates
+        applied = 0
+        for step in range(5):
+            applied += len(apply_greedy(engine, 1, seed=seed + 50 + step))
+            program = engine.program
+            assert dep_keys(cache.dependences()) == \
+                dep_keys(analyze_dependences(program))
+            assert tree_signature(cache.control_tree()) == \
+                tree_signature(build_control_dep_tree(program))
+            assert summary_signature(cache.summaries()) == \
+                summary_signature(build_summaries(program))
+            assert cache.pdg() is cache._pdg[1]
+        assert applied
+        assert cache.counters.dependence_runs == runs
+        assert cache.counters.incremental_updates > updates
+
+    def test_full_strategy_getters_rebuild(self):
+        session = build_session(9, 4, UndoStrategy(incremental_strategy=FULL))
+        engine = session.engine
+        cache = engine.cache
+        cache.dependences()
+        runs = cache.counters.dependence_runs
+        assert apply_greedy(engine, 1, seed=3)
+        cache.dependences()
+        assert cache.counters.dependence_runs > runs
+
+    SRC = ("y = 1\n"
+           "y = 2\n"
+           "c = 5\n"
+           "z = c + 1\n"
+           "do i = 1, 8\n"
+           "  A(i) = B(i) + z\n"
+           "enddo\n"
+           "write A(3)\n")
+
+    def test_safety_preimage_never_reads_the_post_image(self):
+        engine = TransformationEngine(
+            parse_program(self.SRC),
+            extra_transformations=[
+                compile_spec(LRV_SPEC),
+                compile_spec(consulting_dependences(DCE_SPEC)),
+                compile_spec(consulting_dependences(CTP_SPEC))])
+        cache = engine.cache
+        getter = cache.dependences
+        reads = []
+
+        def dependences():
+            graph = getter()
+            assert dep_keys(graph) == dep_keys(
+                analyze_dependences(engine.program))
+            reads.append(engine.program.version)
+            return graph
+
+        cache.dependences = dependences
+        recs = [engine.apply(engine.find(name)[0])
+                for name in ("lrv", "dsdce", "dsctp")]
+        for rec in recs:
+            # the graph is current and log-anchored when the check starts:
+            # a getter patching from the log would skip the pre-image
+            cache.dependences()
+            assert engine.check_safety(rec.stamp).safe
+        for rec in recs:
+            # back to back: the graph was last built inside a pre-image,
+            # at a version the log does not account for
+            assert engine.check_safety(rec.stamp).safe
+        engine.undo(recs[0].stamp)
+        cache.dependences()
+        for rec in recs[1:]:
+            assert engine.check_safety(rec.stamp).safe
+        assert len(set(reads)) > 6

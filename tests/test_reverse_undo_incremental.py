@@ -4,6 +4,7 @@ import pytest
 
 from tests.helpers import make_engine, stmt_by_label
 from repro.analysis.depend import analyze_dependences
+from repro.analysis.summaries import build_summaries
 from repro.core.undo import UndoError, UndoStrategy
 from repro.lang.ast_nodes import programs_equal
 from repro.lang.interp import traces_equivalent
@@ -93,10 +94,16 @@ class TestIncrementalCacheDeeper:
     def test_pdg_and_summaries_track_version(self):
         engine, p, _ = make_engine("c = 1\nx = c\nwrite x\n")
         pdg1 = engine.cache.pdg()
-        summ1 = engine.cache.summaries()
+        engine.cache.summaries()
         engine.apply(engine.find("ctp")[0])
         assert engine.cache.pdg() is not pdg1
-        assert engine.cache.summaries() is not summ1
+        # the summaries are patched in place from the apply's events
+        summ = engine.cache.summaries()
+        assert engine.cache._summaries == (p.version, summ)
+        key = lambda d: (d.src, d.dst, d.kind, d.var, d.directions, d.carried)
+        edges = lambda sm: sorted(key(d) for deps in sm.by_region.values()
+                                  for d in deps)
+        assert edges(summ) == edges(build_summaries(p))
 
 
 class TestStrategyMatrix:
