@@ -22,7 +22,8 @@ properties worth measuring rather than asserting:
    eviction (the service's LRU cycle) cuts that snapshot as a delta
    against the full one on disk, and its reopen checks the journal's
    CRCs without rendering a record.  The table reports the cycle's
-   parts against history length (reported, not gated).
+   parts against history length, plus the size of the newest full
+   snapshot on disk (reported, not gated).
 
 All tables print with `pytest benchmarks/bench_e6_recovery.py -s`.
 """
@@ -36,9 +37,10 @@ import pytest
 from repro.bench.reporting import BenchReport, banner, ms, rate, ratio, scaled
 from repro.lang.printer import format_program
 from repro.service.journal import scan_journal
-from repro.service.recovery import JOURNAL_FILE
+from repro.service.recovery import JOURNAL_FILE, SNAPSHOT_DIR
 from repro.service.serde import state_fingerprint
 from repro.service.session import DurableSession
+from repro.service.snapshot import SnapshotStore
 from repro.workloads.generator import generate_program
 from tests.test_service_recovery import drive
 
@@ -257,7 +259,7 @@ def test_e6_evict_reopen_cycle_table(tmp_path):
     banner("E6 — evict/reopen cycle vs history length (tiny program, "
            f"{CYCLES} cycles: reopen and scan medians, snapshot means)")
     t = REPORT.table(["history", "reopen", "evict snapshot",
-                      "snapshot bytes", "journal scan"],
+                      "snapshot bytes", "full snapshot B", "journal scan"],
                      title="E6 — evict/reopen cycle vs history length")
     for n in CYCLE_HISTORIES:
         sdir = str(tmp_path / f"cycle{n}")
@@ -268,16 +270,22 @@ def test_e6_evict_reopen_cycle_table(tmp_path):
         session.close()
         reopen_s, snapshot_s, sizes, scan_s = zip(
             *(_cycle(sdir) for _ in range(CYCLES)))
+        store = SnapshotStore(os.path.join(sdir, SNAPSHOT_DIR))
+        newest_full = max(seq for seq, base in store.entries()
+                          if base is None)
         row = {"reopen_ms": statistics.median(reopen_s),
                "snapshot_ms": statistics.mean(snapshot_s),
                "snapshot_bytes": statistics.mean(sizes),
+               "full_snapshot_bytes": os.path.getsize(
+                   store.path_for(newest_full, None)),
                "journal_scan_ms": statistics.median(scan_s)}
         t.add(n, ms(row["reopen_ms"]), ms(row["snapshot_ms"]),
-              int(row["snapshot_bytes"]), ms(row["journal_scan_ms"]))
+              int(row["snapshot_bytes"]), row["full_snapshot_bytes"],
+              ms(row["journal_scan_ms"]))
     t.show()
     REPORT.value("cycle_history_at_max", n)
     for key, value in row.items():
-        scale = 1 if key == "snapshot_bytes" else 1e3
+        scale = 1 if key.endswith("_bytes") else 1e3
         REPORT.value(f"cycle_{key}_at_max", round(scale * value, 3))
     # the cycles kept the session exact
     assert DurableSession.open(sdir, verify=True).recovery.verified

@@ -25,8 +25,9 @@ runs), so the 5% budget is checked two ways:
   instruction is identical between the configurations.  This is the
   asserted number.
 * **end-to-end** — paired rounds timing every configuration
-  back-to-back (after a warmup, GC paused), reporting the median of
-  the per-round ratios.  Noisy at the ±5% level, so it only backs a
+  back-to-back (after a warmup, GC paused; in full mode each sample
+  reruns the loop ``LOOPS`` times), reporting the median of the
+  per-round ratios.  Noisy at the ±5% level, so it only backs a
   loose regression bound; the table reports it for honesty.
 
 Each configuration gets a private ``MetricsRegistry`` so metric
@@ -52,6 +53,10 @@ REPORT = BenchReport("bench_e7_observability")
 SEED = 11
 N = 8 if quick() else 24
 ROUNDS = 3 if quick() else 7
+#: ``run_loop`` calls per timed sample, the same for every
+#: configuration: in full mode a sample lasts ~0.25 s or more, so host
+#: noise is small against it (one loop is ~50-80 ms).
+LOOPS = 1 if quick() else 6
 #: the documented overhead budget for tracing ON (recorder, no sink).
 BUDGET_PCT = 5.0
 
@@ -70,11 +75,12 @@ def run_loop(tracer=None):
 
 
 def paired_times(configs):
-    """Per-config wall times over ROUNDS paired rounds.
+    """Per-config wall times of one loop over ROUNDS paired rounds.
 
     Every round times each configuration once, back-to-back with GC
     paused, so machine drift lands on all of them equally; callers
-    compare per-round ratios, where that drift cancels.
+    compare per-round ratios, where that drift cancels.  A sample runs
+    the loop LOOPS times and records the mean per loop.
     """
     times = {label: [] for label, _ in configs}
     run_loop(None)  # warmup: caches, imports, allocator
@@ -85,8 +91,10 @@ def paired_times(configs):
             gc.disable()
             try:
                 started = time.perf_counter()
-                run_loop(tracer)
-                times[label].append(time.perf_counter() - started)
+                for _ in range(LOOPS):
+                    run_loop(tracer)
+                times[label].append(
+                    (time.perf_counter() - started) / LOOPS)
             finally:
                 gc.enable()
     return times

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Tuple
 
 from repro.lang.ast_nodes import ContainerRef
 
@@ -67,6 +67,15 @@ def _event_key(event: Event) -> str:
 EMPTY_LOG_DIGEST = hashlib.sha256(b"eventlog").hexdigest()
 
 
+def chain_digest(events: Iterable[Event],
+                 digest: str = EMPTY_LOG_DIGEST) -> str:
+    """Extend a chained log digest over ``events``, in order."""
+    for event in events:
+        digest = hashlib.sha256(
+            (digest + _event_key(event)).encode("utf-8")).hexdigest()
+    return digest
+
+
 class EventLog:
     """Accumulates events; consumers drain slices by cursor.
 
@@ -74,11 +83,16 @@ class EventLog:
     ``digest_{i+1} = sha256(digest_i || key(event_i))``.  The incremental
     fingerprint reads :attr:`digest` in O(1) instead of re-serializing
     the whole log.
+
+    Consumers never re-read a ``since(cursor)`` slice, so snapshots keep
+    only the digest: a restored log starts empty, chaining on from
+    :attr:`base_digest`, and cursors and :meth:`all` span one handle.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, digest: str = EMPTY_LOG_DIGEST) -> None:
         self._events: List[Event] = []
-        self._digest = EMPTY_LOG_DIGEST
+        self.base_digest = digest
+        self._digest = digest
         #: ``program.version`` right after the latest event (set by the
         #: applier); analysis caches patch from the log only when it
         #: still equals the program's version.
@@ -92,8 +106,7 @@ class EventLog:
     def emit(self, event: Event) -> None:
         """Append an event to the log."""
         self._events.append(event)
-        self._digest = hashlib.sha256(
-            (self._digest + _event_key(event)).encode("utf-8")).hexdigest()
+        self._digest = chain_digest((event,), self._digest)
 
     def cursor(self) -> int:
         """Current end-of-log position, for later :meth:`since` calls."""
@@ -104,7 +117,7 @@ class EventLog:
         return self._events[cursor:]
 
     def all(self) -> List[Event]:
-        """Every event emitted so far (copy)."""
+        """Every event held since the log was created or restored (copy)."""
         return list(self._events)
 
     def __len__(self) -> int:

@@ -16,7 +16,9 @@ components instead of one canonical-JSON rendering of the whole engine:
     The :class:`~repro.core.annotations.AnnotationStore`'s commutative
     multiset digest.
 ``events``
-    The :class:`~repro.core.events.EventLog`'s chained running digest.
+    The :class:`~repro.core.events.EventLog`'s chained running digest,
+    recomputed from its persisted ``base_digest`` over the events held
+    (``recover(verify=True)`` replays, so it checks the whole chain).
 ``applier``
     The id counter and apply/invert totals.
 
@@ -40,7 +42,7 @@ import hashlib
 from typing import Dict, List
 
 from repro.core.annotations import AnnotationStore, _ann_hash
-from repro.core.events import EMPTY_LOG_DIGEST, EventLog, _event_key
+from repro.core.events import chain_digest
 from repro.lang.ast_nodes import Program, stmt_hash, stmt_hash_fresh
 from repro.service.serde import canonical_dumps, record_to_doc
 
@@ -91,15 +93,6 @@ def _store_digest_fresh(store: AnnotationStore) -> str:
     return f"{acc:064x}"
 
 
-def _eventlog_digest_fresh(log: EventLog) -> str:
-    """Recompute the chained event digest from the full event list."""
-    digest = EMPTY_LOG_DIGEST
-    for event in log.all():
-        digest = hashlib.sha256(
-            (digest + _event_key(event)).encode("utf-8")).hexdigest()
-    return digest
-
-
 def _applier_component(applier) -> Dict[str, int]:
     return {"next_action_id": applier.next_action_id,
             "applied": applier.applied_count,
@@ -117,7 +110,7 @@ def scratch_fingerprint(engine) -> str:
         "history": _combine_history(
             [record_digest(r) for r in engine.history.all_records()]),
         "annotations": _store_digest_fresh(engine.store),
-        "events": _eventlog_digest_fresh(engine.events),
+        "events": chain_digest(engine.events.all(), engine.events.base_digest),
         "applier": _applier_component(engine.applier),
     }
     return _finish(components)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 # the exception's canonical home is the command module (replay is part
@@ -183,25 +183,28 @@ class DeltaBase:
     """The full snapshot a session's next delta snapshot is cut against.
 
     ``cursors`` are the extents of the engine's append-only logs
-    (``events``, annotation ``anns`` oplog, ``hist`` mutations) at that
-    full snapshot; a delta ships what lies beyond them plus the
-    annotation ``ops`` and history ``stamps`` that a delta loaded at
-    reopen already carried (the logs restart at reopen).  ``chain``
-    counts the deltas written against ``full_seq`` so far.
+    (``events``, annotation ``anns`` oplog, ``hist`` mutations) and
+    ``events_digest`` the log digest at that full snapshot; a delta ships
+    what lies beyond the cursors plus the changed-row ``sids``, ``ops``
+    and ``stamps`` a delta loaded at reopen carried (the logs restart at
+    reopen).  ``chain`` counts the deltas written against ``full_seq``.
     """
 
     full_seq: int
     cursors: Dict[str, int]
+    events_digest: str
+    sids: List[int] = field(default_factory=list)
     ops: List[Any] = field(default_factory=list)
     stamps: List[int] = field(default_factory=list)
     chain: int = 0
 
 
-def log_cursors(engine: TransformationEngine) -> Dict[str, int]:
-    """Current extents of the engine logs a delta snapshot reads."""
-    return {"events": len(engine.events),
-            "anns": len(engine.store.oplog),
-            "hist": len(engine.history.mutations)}
+def full_base(seq: int, engine: TransformationEngine) -> DeltaBase:
+    """The delta base of a full snapshot of ``engine`` at ``seq``."""
+    return DeltaBase(seq, {"events": len(engine.events),
+                           "anns": len(engine.store.oplog),
+                           "hist": len(engine.history.mutations)},
+                     engine.events.digest)
 
 
 def _delta_base(seq: int, payload: Dict[str, Any],
@@ -210,21 +213,21 @@ def _delta_base(seq: int, payload: Dict[str, Any],
 
     ``None`` — the next snapshot is full — for a full snapshot that
     still carries ``commands`` (written before the journal held the
-    whole history) and for a delta that records no chain position.
+    whole history) and for a delta written with an ``events_tail``.
     """
     if "commands" in payload:
         return None
-    cursors = log_cursors(engine)
     delta = payload.get("delta")
     if delta is None:
-        return DeltaBase(seq, cursors)
-    if "chain" not in delta:
+        return full_base(seq, engine)
+    if "events_tail" in delta:
         return None
-    cursors["events"] = delta["events_base"]
-    return DeltaBase(delta["delta_of"], cursors,
-                     ops=list(delta["annotations_ops"]),
-                     stamps=[int(s) for s in delta["history"]],
-                     chain=delta["chain"])
+    return replace(full_base(delta["delta_of"], engine),
+                   events_digest=delta["events_base"],
+                   sids=[int(s) for s in delta["program"]["rows"]],
+                   ops=list(delta["annotations_ops"]),
+                   stamps=[int(s) for s in delta["history"]],
+                   chain=delta["chain"])
 
 
 @dataclass

@@ -3,9 +3,9 @@
 Everything the undo machinery needs to keep working across a process
 boundary is covered: the program (attached *and* detached statements,
 with their exact sids), the annotation store, the transformation
-history (records, primitive actions, pre/post patterns), the event log,
-and the applier's id counters.  A restored engine can keep applying and
-undoing as if the process had never exited.
+history (records, primitive actions, pre/post patterns), the event
+log's chained digest, and the applier's id counters.  A restored engine
+can keep applying and undoing as if the process had never exited.
 
 Documents on disk are wrapped in a small envelope: one JSON header
 line, then the payload's canonical text (:func:`canonical_dumps`)::
@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.actions import ActionKind, ActionRecord, HeaderSpec
 from repro.core.annotations import Annotation, AnnotationStore
-from repro.core.events import Event, EventKind, EventLog
+from repro.core.events import Event, EventKind, EventLog, chain_digest
 from repro.core.history import History, TransformationRecord
 from repro.core.locations import Location
 from repro.lang.ast_nodes import (
@@ -603,32 +603,16 @@ def store_from_doc(doc: List[Dict[str, Any]]) -> AnnotationStore:
     return store
 
 
-def event_to_doc(e: Event) -> Dict[str, Any]:
-    """One change event as a JSON-safe dict."""
-    return {"kind": e.kind.value, "sid": e.sid,
-            "containers": [list(c) for c in e.containers],
-            "stamp": e.stamp, "action_id": e.action_id, "inverse": e.inverse}
-
-
-def event_from_doc(doc: Dict[str, Any]) -> Event:
-    """Rebuild an :class:`Event` (container tuples restored)."""
-    return Event(kind=EventKind(doc["kind"]), sid=doc["sid"],
-                 containers=tuple(tuple(c) for c in doc["containers"]),
-                 stamp=doc["stamp"], action_id=doc["action_id"],
-                 inverse=doc["inverse"])
-
-
-def eventlog_to_doc(log: EventLog) -> List[Dict[str, Any]]:
-    """The whole event log, in emission order."""
-    return [event_to_doc(e) for e in log.all()]
-
-
-def eventlog_from_doc(doc: List[Dict[str, Any]]) -> EventLog:
-    """Rebuild an :class:`EventLog` by re-emitting every event."""
-    log = EventLog()
-    for edoc in doc:
-        log.emit(event_from_doc(edoc))
-    return log
+def events_digest(engine_doc: Dict[str, Any]) -> str:
+    """The event-log digest an engine document restores; documents that
+    predate it carry the event list, which is chained over once."""
+    if "events_digest" in engine_doc:
+        return engine_doc["events_digest"]
+    return chain_digest(
+        Event(EventKind(e["kind"]), e["sid"],
+              tuple(map(tuple, e["containers"])), e["stamp"],
+              e["action_id"], e["inverse"])
+        for e in engine_doc["events"])
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +626,7 @@ def engine_to_doc(engine) -> Dict[str, Any]:
         "program": program_to_doc(engine.program),
         "history": history_to_doc(engine.history),
         "annotations": store_to_doc(engine.store),
-        "events": eventlog_to_doc(engine.events),
+        "events_digest": engine.events.digest,
         "applier": {"next_action_id": engine.applier.next_action_id,
                     "applied": engine.applier.applied_count,
                     "inverted": engine.applier.inverted_count},
@@ -655,14 +639,15 @@ def engine_from_doc(doc: Dict[str, Any], strategy=None):
     The restored engine shares nothing with the document: applying,
     undoing (in either order), safety/reversibility checks, and user
     edits all behave exactly as in the original process.  Analysis
-    caches are *not* persisted — they rebuild lazily on first use.
+    caches and events are *not* persisted — caches rebuild lazily on
+    first use, and the event log restarts from its persisted digest.
     """
     from repro.core.engine import TransformationEngine
 
     program = program_from_doc(doc["program"])
     history = history_from_doc(doc["history"])
     store = store_from_doc(doc["annotations"])
-    events = eventlog_from_doc(doc["events"])
+    events = EventLog(digest=events_digest(doc))
     engine = TransformationEngine(program, strategy=strategy,
                                   history=history, store=store, events=events)
     ap = doc["applier"]
@@ -684,12 +669,13 @@ def engine_from_doc(doc: Dict[str, Any], strategy=None):
 # ``history``           dirty records keyed by str(stamp);
 # ``annotations_ops``   tail of the store's append-only oplog, as
 #                       ``["add"|"remove", annotation_doc]`` pairs;
-# ``events_tail``       events emitted since the base
-#                       (``events_base`` = base event count, a sanity
-#                       check against resolving over the wrong base);
+# ``events_digest``     the event log's chained digest (``events_base``
+#                       = the base's digest, a check against resolving
+#                       over the wrong base);
 # ``applier``           full applier counters (tiny — always shipped).
 #
 # Resolution is purely at the document level: no engine is constructed.
+# An older delta carries ``events_tail`` and a count ``events_base``.
 
 
 def resolve_snapshot_delta(base: Dict[str, Any],
@@ -737,16 +723,20 @@ def resolve_snapshot_delta(base: Dict[str, Any],
         else:
             raise SerdeError(f"unknown annotation op {op!r}")
 
-    # Events: an append-only tail with an extent check.
-    if len(base_engine["events"]) != delta["events_base"]:
-        raise SerdeError(
-            f"delta snapshot expects a base with {delta['events_base']} "
-            f"events, found {len(base_engine['events'])}")
-    events_doc = list(base_engine["events"]) + list(delta["events_tail"])
+    # Events: the delta records its base's digest (older: event count).
+    if "events_tail" in delta:
+        found = len(base_engine["events"])
+        events = {"events": base_engine["events"] + delta["events_tail"]}
+    else:
+        found = events_digest(base_engine)
+        events = {"events_digest": delta["events_digest"]}
+    if found != delta["events_base"]:
+        raise SerdeError(f"delta snapshot expects a base with events "
+                         f"{delta['events_base']}, found {found}")
 
     engine_doc = {"program": program_doc, "history": history_doc,
-                  "annotations": anns, "events": events_doc,
-                  "applier": delta["applier"]}
+                  "annotations": anns, "applier": delta["applier"],
+                  **events}
     return {"journal_seq": delta["journal_seq"], "engine": engine_doc}
 
 

@@ -10,7 +10,7 @@ A snapshot is taken every ``snapshot_every`` commands to bound reopen
 latency.  Every :data:`SNAPSHOT_FULL_EVERY`-th snapshot serializes the
 whole engine; the ones between are *deltas* against the last full
 snapshot — only the statements touched by events since then, the dirty
-history records, and the annotation/event tails — so steady-state
+history records, the annotation tail and the event digest — so steady-state
 snapshot cost is O(commands since the last full), not
 O(program + history).  The count runs across handles: a reopened
 session continues the delta chain of the snapshot it loaded, so an
@@ -58,7 +58,7 @@ from repro.service.recovery import (
     SNAPSHOT_DIR,
     DeltaBase,
     RecoveryResult,
-    log_cursors,
+    full_base,
     meta_path,
     read_meta,
     recover,
@@ -68,7 +68,6 @@ from repro.service.recovery import (
 from repro.service.serde import (
     annotation_to_doc,
     engine_to_doc,
-    event_to_doc,
     record_to_doc,
     stmt_to_row,
 )
@@ -337,7 +336,7 @@ class DurableSession:
                 payload = {"journal_seq": self.seq,
                            "engine": engine_to_doc(self.engine)}
                 path = self.snapshots.write(self.seq, payload)
-                self._base = DeltaBase(self.seq, log_cursors(self.engine))
+                self._base = full_base(self.seq, self.engine)
             self.snapshots.prune(keep=2)
         self._snapshot_seq = self.seq
         self._since_snapshot = 0
@@ -350,16 +349,16 @@ class DurableSession:
         since the full snapshot contributes the subtree of its subject
         statement (still registered — sids are never retired) plus the
         owners of its touched containers, whose child lists changed.
-        Labels and expressions only change through evented actions, so
-        the union is exact, and recovery's fingerprint verification
-        would catch any gap.
+        Events from before a reopen are gone, so the rows a loaded delta
+        carried (``base.sids``) seed the set.  Labels and expressions
+        only change through evented actions, so the union is exact, and
+        recovery's fingerprint verification would catch any gap.
         """
         engine = self.engine
         program = engine.program
         cursors = base.cursors
-        tail = engine.events.since(cursors["events"])
-        changed: set = set()
-        for event in tail:
+        changed = set(base.sids)
+        for event in engine.events.since(cursors["events"]):
             info = program._infos.get(event.sid)
             if info is not None:
                 changed.update(_subtree_sids(info.stmt))
@@ -391,8 +390,8 @@ class DurableSession:
                         "version_hwm": program._version_hwm},
             "history": history,
             "annotations_ops": ops,
-            "events_tail": [event_to_doc(e) for e in tail],
-            "events_base": cursors["events"],
+            "events_digest": engine.events.digest,
+            "events_base": base.events_digest,
             "applier": {"next_action_id": applier.next_action_id,
                         "applied": applier.applied_count,
                         "inverted": applier.inverted_count},

@@ -51,6 +51,8 @@ from repro.workloads.scenarios import apply_greedy
 
 CFG = GeneratorConfig(blocks=4, trip=8)
 
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
 SRC = (
     "c = 1\n"
     "x = c + 2\n"
@@ -304,6 +306,55 @@ def test_manager_ping_pong_evicts_with_deltas(tmp_path, monkeypatch):
         reopened.close()
 
 
+def test_chained_delta_carries_changed_rows(tmp_path):
+    """A delta cut by a reopened handle still ships the rows a delta
+    loaded at reopen changed: their events died with the old handle."""
+    s = DurableSession.create(str(tmp_path), SRC, snapshot_every=0)
+    sid_a, sid_b, sid_c = [stmt.sid for stmt in s.engine.program.body[:3]]
+    s.edit_modify(sid_c, ("expr",), Const(4))
+    s.snapshot()  # full
+    s.edit_modify(sid_a, ("expr",), Const(5))
+    s.snapshot()  # delta 1: row A
+    s.close()
+    reopened = DurableSession.open(str(tmp_path))
+    assert reopened.recovery.delta_base.sids == [sid_a]
+    reopened.edit_modify(sid_b, ("expr",), Const(6))
+    path = reopened.snapshot()  # delta 2: rows A and B
+    assert "-d" in os.path.basename(path)
+    live = state_fingerprint(reopened.engine)
+    reopened.close()
+    final = DurableSession.open(str(tmp_path), verify=True)
+    assert final.recovery.verified is True
+    assert final.recovery.snapshot_seq == 3
+    assert state_fingerprint(final.engine) == live
+    final.close()
+
+
+class TestReopenCost:
+    def test_reopen_emits_no_event(self, tmp_path):
+        from repro.core.events import EventLog
+
+        s = DurableSession.create(str(tmp_path), SRC, snapshot_every=0)
+        stamp = s.apply("ctp", 0).stamp
+        s.apply("cse", 0)
+        s.snapshot()  # full
+        s.undo(stamp)
+        s.snapshot()  # delta
+        assert len(s.engine.events) > 0
+        live = state_fingerprint(s.engine)
+        s.close()
+        real_emit = EventLog.emit
+        with mock.patch.object(EventLog, "emit", autospec=True,
+                               side_effect=real_emit) as emit:
+            reopened = DurableSession.open(str(tmp_path))
+        assert emit.call_count == 0
+        assert reopened.recovery.replayed == 0
+        assert len(reopened.engine.events) == 0
+        assert state_fingerprint(reopened.engine) == live
+        assert FingerprintMaintainer(reopened.engine).current() == live
+        reopened.close()
+
+
 # ---------------------------------------------------------------------------
 # Delta resolution: row codec and failure modes
 # ---------------------------------------------------------------------------
@@ -340,11 +391,22 @@ class TestDeltaResolution:
         engine = engine_from_doc(resolved["engine"])
         assert state_fingerprint(engine) == live
 
-    def test_wrong_base_is_rejected(self, tmp_path):
-        full, delta, _live = self._payloads(tmp_path)
-        wrong = json.loads(json.dumps(full))
-        wrong["engine"]["events"] = \
-            wrong["engine"]["events"] + wrong["engine"]["events"][-1:]
+    @pytest.mark.parametrize("fmt", ["digest", "legacy"])
+    def test_wrong_base_is_rejected(self, tmp_path, fmt):
+        if fmt == "digest":
+            full, delta, _live = self._payloads(tmp_path)
+            wrong = json.loads(json.dumps(full))
+            wrong["engine"]["events_digest"] = "0" * 64
+        else:
+            # snapshots written while they carried the event list
+            store = SnapshotStore(os.path.join(FIXTURES, "v3_session",
+                                               "snapshots"))
+            (fseq, _), (dseq, _) = store.entries()
+            full, delta = store.load(fseq), store.load(dseq)
+            resolve_snapshot_delta(full, delta)  # the right base resolves
+            wrong = json.loads(json.dumps(full))
+            wrong["engine"]["events"] = \
+                wrong["engine"]["events"] + wrong["engine"]["events"][-1:]
         with pytest.raises(SerdeError):
             resolve_snapshot_delta(wrong, delta)
 

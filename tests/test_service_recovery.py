@@ -462,6 +462,73 @@ class TestV2Migration:
         reopened.close()
 
 
+class TestV3EventLists:
+    """The checked-in v3 fixture was written while snapshots carried the
+    event list: its full snapshot holds ``events``, and its chained delta
+    an ``events_tail`` with a count ``events_base``."""
+
+    FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+    @pytest.fixture()
+    def v3_dir(self, tmp_path):
+        work = str(tmp_path / "v3")
+        shutil.copytree(os.path.join(self.FIXTURES, "v3_session"), work)
+        return work
+
+    @pytest.fixture()
+    def expected(self):
+        import json
+
+        with open(os.path.join(self.FIXTURES, "v3_expected.json")) as fh:
+            return json.load(fh)
+
+    def test_fixture_carries_event_lists(self, v3_dir):
+        store = SnapshotStore(os.path.join(v3_dir, "snapshots"))
+        (fseq, fbase), (dseq, dbase) = store.entries()
+        assert fbase is None and dbase == fseq
+        full = store.load(fseq)["engine"]
+        assert full["events"] and "events_digest" not in full
+        delta = store.load(dseq)
+        assert delta["chain"] == 1
+        assert delta["events_tail"]
+        assert delta["events_base"] == len(full["events"])
+
+    def test_opens_verified(self, v3_dir, expected):
+        session = DurableSession.open(v3_dir, verify=True)
+        assert session.recovery.verified is True
+        assert session.recovery.snapshot_seq == 5
+        assert session.recovery.delta_base is None
+        assert session.seq == expected["seq"]
+        assert state_fingerprint(session.engine) == expected["fingerprint"]
+        assert session.source() == expected["source"]
+        assert [(r.stamp, r.name, r.active)
+                for r in session.engine.history.all_records()] == \
+            [tuple(r) for r in expected["records"]]
+        session.close()
+
+    def test_continues_in_new_format(self, v3_dir, expected):
+        session = DurableSession.open(v3_dir, verify=True)
+        session.apply("ctp", 0)
+        full_path = session.snapshot()
+        assert full_path.endswith(f"snap-{session.seq:010d}.json")
+        full = session.snapshots.load(session.seq)["engine"]
+        assert "events" not in full
+        assert full["events_digest"] == session.engine.events.digest
+        session.apply("cse", 0)
+        delta_path = session.snapshot()
+        assert "-d" in os.path.basename(delta_path)
+        delta = session.snapshots.load(session.seq)
+        assert "events_tail" not in delta
+        assert delta["events_base"] == full["events_digest"]
+        live = state_fingerprint(session.engine)
+        session.close()
+        reopened = DurableSession.open(v3_dir, verify=True)
+        assert reopened.recovery.verified is True
+        assert reopened.recovery.snapshot_seq == expected["seq"] + 2
+        assert state_fingerprint(reopened.engine) == live
+        reopened.close()
+
+
 class TestSnapshotRewrite:
     @pytest.mark.parametrize("first,second", [(None, 3), (3, None)])
     def test_a_rewrite_leaves_one_file_per_seq(self, tmp_path, first,
