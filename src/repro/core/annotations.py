@@ -116,11 +116,6 @@ class AnnotationStore:
         self._digest_acc = (self._digest_acc - _ann_hash(ann)) % _DIGEST_MOD
         self.oplog.append(("remove", ann))
 
-    def remove_action(self, sid: int, action_id: int) -> None:
-        """Remove every annotation a given action left on ``sid``."""
-        for ann in [a for a in self._by_sid.get(sid, []) if a.action_id == action_id]:
-            self.remove(ann)
-
     def remove_stamp(self, stamp: int) -> None:
         """Remove every annotation belonging to transformation ``stamp``."""
         for ann in list(self._by_stamp.get(stamp, [])):

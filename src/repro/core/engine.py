@@ -51,7 +51,6 @@ from repro.core.undo import UndoEngine, UndoReport, UndoStrategy
 from repro.lang.ast_nodes import Program
 from repro.lang.printer import format_program
 from repro.obs import metrics as obs_metrics
-from repro.obs.profiler import Profiler
 from repro.obs.trace import Tracer, current_request
 from repro.transforms.base import (
     CheckContext,
@@ -75,8 +74,7 @@ class TransformationEngine:
                  store: Optional[AnnotationStore] = None,
                  events: Optional[EventLog] = None,
                  tracer: Optional[Tracer] = None,
-                 metrics: Optional[obs_metrics.MetricsRegistry] = None,
-                 profiler: Optional[Profiler] = None):
+                 metrics: Optional[obs_metrics.MetricsRegistry] = None):
         from repro.transforms.registry import REGISTRY
 
         from repro.core.locations import make_sibling_orderer
@@ -110,23 +108,15 @@ class TransformationEngine:
         #: counter/histogram home; defaults to the process-wide registry.
         self.metrics = metrics if metrics is not None \
             else obs_metrics.REGISTRY
-        if self.tracer.enabled and self.tracer.recorder.drop_counter is None:
+        recorder = self.tracer.recorder
+        if self.tracer.enabled and recorder.drop_counter is None:
             # ring wrap-around is otherwise silent; the counter is the
             # only record of how many spans the flight recorder lost
-            self.tracer.recorder.drop_counter = self.metrics.counter(
+            recorder.drop_counter = self.metrics.counter(
                 "repro_trace_dropped_total",
                 "spans evicted off the flight-recorder ring")
-        #: CPU sampler; defaults to the shared zero-cost disabled
-        #: profiler (``Profiler.disabled``), mirroring the tracer.  An
-        #: enabled profiler's sample drops are counted the same way the
-        #: flight recorder's span drops are.
-        self.profiler = profiler if profiler is not None \
-            else Profiler.disabled
-        if self.profiler.enabled and self.profiler.drop_counter is None:
-            self.profiler.drop_counter = self.metrics.counter(
-                "repro_prof_dropped_total",
-                "profiler samples lost to overrun ticks or "
-                "stack-table overflow")
+            recorder.span_counter = self.metrics.counter(
+                "repro_spans_total", "spans the flight recorder completed")
         #: recent isolated observer failures, newest last — a raising
         #: ``command_observers`` callback is logged and recorded here,
         #: never allowed to corrupt the already-committed command.

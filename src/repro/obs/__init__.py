@@ -9,10 +9,10 @@ Layered so the rest of the system never pays for what it does not use:
   mints one request id per request, every span produced while it is
   active carries it, and the sharded router forwards it across the
   worker pipe — the join key for cross-process traces.
-* :mod:`repro.obs.metrics` — the process-wide :class:`MetricsRegistry`
-  of counters/gauges/fixed-bucket latency histograms, with
-  Prometheus-style text exposition, a JSON dump, and cross-shard
-  document merging.
+* :mod:`repro.obs.metrics` — the :class:`MetricsRegistry` of
+  counters/gauges/fixed-bucket latency histograms (one per session
+  manager, plus the process-wide default), with Prometheus-style text
+  exposition, a JSON dump, and cross-shard document merging.
 * :mod:`repro.obs.collector` — joins the router's span stream with
   every worker's ``trace.jsonl`` into causally-ordered per-request
   fleet traces (``python -m repro collect ROOT``).
@@ -35,12 +35,7 @@ Layered so the rest of the system never pays for what it does not use:
 See docs/OBSERVABILITY.md for the span model and the metric catalog.
 """
 
-from repro.obs.analytics import (
-    DecisionAnalytics,
-    analytics_doc,
-    analytics_to_registry,
-    merge_analytics_docs,
-)
+from repro.obs.analytics import DecisionAnalytics
 from repro.obs.check import (
     RoundtripReport,
     audit_roundtrip,
@@ -61,6 +56,8 @@ from repro.obs.metrics import (
     aggregate_to_prometheus,
     merge_aggregate_metrics,
     merge_histogram_docs,
+    merge_registry_docs,
+    registry_views,
 )
 from repro.obs.profiler import (
     Profiler,
@@ -101,20 +98,19 @@ __all__ = [
     "Span",
     "Tracer",
     "aggregate_to_prometheus",
-    "analytics_doc",
-    "analytics_to_registry",
     "annotate_request",
     "audit_roundtrip",
     "collect_requests",
     "current_request",
     "fleet_roundtrip",
     "merge_aggregate_metrics",
-    "merge_analytics_docs",
     "merge_folded",
     "merge_histogram_docs",
+    "merge_registry_docs",
     "new_request_id",
     "parse_folded",
     "read_trace",
+    "registry_views",
     "render_folded",
     "request_context",
     "thread_activity",

@@ -30,11 +30,13 @@ instrument                             meaning
                                        regional (incremental) analysis
 =====================================  =====================================
 
-Counters live in an ordinary registry, so they ship across shard pipes
-inside the ``_ metrics`` document (:func:`analytics_doc`), merge like
-PR 6's totals (:func:`merge_analytics_docs` — counters sum, histograms
-merge bucket-wise), and render in ``/metrics`` and ``/varz`` through
-the same exposition paths every other instrument uses.
+Counters live in the manager's ordinary registry, so they ship across
+shard pipes inside the ``_ metrics`` document's ``registry``, merge
+with every other instrument
+(:func:`~repro.obs.metrics.merge_registry_docs` — counters sum,
+histograms merge bucket-wise), and render in ``/metrics`` and ``/varz``
+through the same exposition paths.  The document's ``analytics`` key
+is the :data:`~repro.obs.metrics.ANALYTICS_PREFIXES` subset of it.
 
 Observer discipline: :meth:`DecisionAnalytics.observe` is wired through
 ``engine.command_observers``, whose caller isolates exceptions — but an
@@ -44,23 +46,11 @@ here reads doc-form provenance (plain dicts) and scalar attributes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
-from repro.obs.metrics import (
-    MetricsError,
-    MetricsRegistry,
-    REGISTRY,
-    merge_histogram_docs,
-)
+from repro.obs.metrics import ANALYTICS_PREFIXES, MetricsRegistry, REGISTRY
 
-__all__ = ["DecisionAnalytics", "ANALYTICS_PREFIXES", "analytics_doc",
-           "merge_analytics_docs", "analytics_to_registry"]
-
-#: metric-name prefixes the cross-shard document ships (everything the
-#: table above defines; adding an instrument here is all it takes to
-#: make it fleet-merged).
-ANALYTICS_PREFIXES = ("repro_decision_", "repro_undo_",
-                      "repro_violation_", "repro_analysis_pairs_")
+__all__ = ["DecisionAnalytics", "ANALYTICS_PREFIXES"]
 
 #: buckets for cascade depth and collateral fan-out — small integers,
 #: not latencies (Fibonacci-ish so the tail still resolves).
@@ -162,97 +152,3 @@ class DecisionAnalytics:
             m.histogram("repro_undo_cascade_depth",
                         "provenance tree depth of each undo cascade",
                         buckets=DEPTH_BUCKETS).observe(deepest)
-
-
-# -- cross-shard documents ----------------------------------------------------
-#
-# Analytics instruments live in each worker's process-local registry;
-# the ``_ metrics`` document carries this subset across the pipe, the
-# router merges documents, and exposition rebuilds a registry from the
-# merge — the exact shape of PR 6's totals/latency merge.
-
-def analytics_doc(registry: MetricsRegistry) -> Dict[str, Any]:
-    """The analytics subset of ``registry.to_doc()`` (JSON-safe)."""
-    return {name: doc for name, doc in registry.to_doc().items()
-            if name.startswith(ANALYTICS_PREFIXES)}
-
-
-def merge_analytics_docs(
-        docs: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    """Merge per-shard :func:`analytics_doc` documents.
-
-    Counter samples with the same labels sum; histogram samples with
-    the same labels merge bucket-wise via
-    :func:`~repro.obs.metrics.merge_histogram_docs`.  Documents may
-    cover different instruments (a shard that never ran an undo has no
-    cascade histogram) — absent means zero.
-    """
-    merged: Dict[str, Any] = {}
-    for doc in docs:
-        for name, entry in doc.items():
-            target = merged.setdefault(
-                name, {"kind": entry["kind"],
-                       "help": entry.get("help", ""), "samples": []})
-            if target["kind"] != entry["kind"]:
-                raise MetricsError(
-                    f"{name} is {target['kind']} on one shard and "
-                    f"{entry['kind']} on another")
-            if not target["help"]:
-                target["help"] = entry.get("help", "")
-            for sample in entry.get("samples", []):
-                labels = sample.get("labels", {})
-                existing = next(
-                    (s for s in target["samples"]
-                     if s.get("labels", {}) == labels), None)
-                if existing is None:
-                    target["samples"].append(
-                        {k: (dict(v) if isinstance(v, dict) else
-                             list(v) if isinstance(v, list) else v)
-                         for k, v in sample.items()})
-                elif entry["kind"] == "histogram":
-                    idx = target["samples"].index(existing)
-                    merged_sample = merge_histogram_docs(
-                        [existing, sample])
-                    merged_sample["labels"] = labels
-                    target["samples"][idx] = merged_sample
-                else:
-                    existing["value"] = existing.get("value", 0) + \
-                        sample.get("value", 0)
-    return merged
-
-
-def analytics_to_registry(
-        doc: Dict[str, Any],
-        registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-    """Rebuild a registry from a (merged) analytics document.
-
-    The exposition bridge: ``/metrics`` renders fleet analytics with
-    the same :meth:`~repro.obs.metrics.MetricsRegistry.render` the
-    tests pin, by populating a throwaway registry from the document —
-    the same trick :func:`~repro.obs.metrics.aggregate_to_prometheus`
-    uses for the persistence totals.
-    """
-    registry = registry if registry is not None else MetricsRegistry()
-    for name, entry in sorted(doc.items()):
-        for sample in entry.get("samples", []):
-            labels = sample.get("labels", {})
-            if entry["kind"] == "counter":
-                registry.counter(name, entry.get("help", ""),
-                                 **labels).value = \
-                    float(sample.get("value", 0))
-            elif entry["kind"] == "gauge":
-                registry.gauge(name, entry.get("help", ""),
-                               **labels).set(sample.get("value", 0))
-            else:
-                bounds = [pair[0] for pair in sample["buckets"]]
-                hist = registry.histogram(name, entry.get("help", ""),
-                                          buckets=bounds, **labels)
-                hist.counts = [pair[1] for pair in sample["buckets"]] + \
-                    [sample.get("overflow", 0)]
-                hist.sum = sample.get("sum", 0.0)
-                hist.count = sample.get("count", 0)
-                exemplars = sample.get("exemplars")
-                if exemplars:
-                    hist.exemplars = [dict(e) if e else None
-                                      for e in exemplars]
-    return registry

@@ -16,9 +16,11 @@ sidecar is identical over a single process and a sharded fleet.
 
 Endpoint contracts:
 
-* ``GET /metrics`` — Prometheus text (the fleet-merged aggregate
-  document rendered by :func:`repro.obs.metrics.
-  aggregate_to_prometheus`); ``500`` with the error text when the
+* ``GET /metrics`` — Prometheus text: the front's ``_ metrics``
+  document (fleet-merged on the router) rendered by
+  :func:`repro.obs.metrics.aggregate_to_prometheus` — every instrument
+  of the manager registries under its own name, plus the
+  ``repro_fleet_*`` series; ``500`` with the error text when the
   document cannot be assembled (a dead shard mid-scrape).
 * ``GET /healthz`` — the health JSON; HTTP ``200`` when ``ok`` is true,
   ``503`` otherwise, so probes need only look at the status code.

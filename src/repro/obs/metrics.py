@@ -15,8 +15,10 @@ Two exposition formats:
 * :meth:`MetricsRegistry.render` — Prometheus-style text (``# HELP`` /
   ``# TYPE`` headers, ``name{label="v"} value`` samples, cumulative
   ``_bucket{le=...}`` histogram lines);
-* :meth:`MetricsRegistry.to_doc` — a JSON-safe dict (the server's
-  ``metrics`` verbs and the benchmark JSON reports).
+* :meth:`MetricsRegistry.to_doc` — a JSON-safe dict (the ``registry``
+  of the ``_ metrics`` document and the benchmark JSON reports), which
+  :func:`merge_registry_docs` merges across shards and
+  :meth:`MetricsRegistry.from_doc` turns back into a registry.
 
 Histograms use fixed latency buckets (100µs .. 10s) so percentile
 estimates (:meth:`Histogram.quantile`, linear interpolation inside the
@@ -33,8 +35,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
            "MetricsError", "DEFAULT_BUCKETS", "REGISTRY",
-           "merge_histogram_docs", "merge_aggregate_metrics",
-           "aggregate_to_prometheus"]
+           "ANALYTICS_PREFIXES", "TOTALS_SOURCES",
+           "merge_histogram_docs", "merge_registry_docs", "registry_views",
+           "merge_aggregate_metrics", "aggregate_to_prometheus"]
 
 #: fixed latency buckets in seconds (upper bounds; +Inf is implicit).
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -211,11 +214,14 @@ Instrument = Union[Counter, Gauge, Histogram]
 
 
 class MetricsRegistry:
-    """Get-or-create home for every instrument in one process.
+    """Get-or-create home for a set of instruments.
 
     The module-level :data:`REGISTRY` is the process-wide default every
-    instrumented seam falls back to; tests and benchmarks pass their own
-    registry for isolation.
+    instrumented seam falls back to.  Each
+    :class:`~repro.service.session.SessionManager` owns its own registry
+    and hands it to its sessions' engines, journals and snapshot stores,
+    so its counts cover its sessions and nothing else; tests and
+    benchmarks pass their own registry for isolation.
     """
 
     def __init__(self) -> None:
@@ -347,6 +353,36 @@ class MetricsRegistry:
                          "samples": [inst.sample() for inst in instruments]}
         return out
 
+    @classmethod
+    def from_doc(cls, doc: Dict[str, Any]) -> "MetricsRegistry":
+        """A registry holding exactly the instruments of a :meth:`to_doc`
+        document.
+
+        The exposition bridge: a document merged across shards (see
+        :func:`merge_registry_docs`) has no live registry behind it, so
+        ``/metrics`` rebuilds one and renders it with :meth:`render`.
+        """
+        registry = cls()
+        kinds = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+        for name, entry in doc.items():
+            kind, help_text = kinds[entry["kind"]], entry.get("help", "")
+            for sample in entry.get("samples", []):
+                labels = sample.get("labels", {})
+                if kind is not Histogram:
+                    registry._get(kind, name, help_text, labels).value = \
+                        sample.get("value", 0)
+                    continue
+                hist = registry._get(
+                    Histogram, name, help_text, labels,
+                    buckets=[pair[0] for pair in sample["buckets"]])
+                hist.counts = [pair[1] for pair in sample["buckets"]] + \
+                    [sample.get("overflow", 0)]
+                hist.sum = sample.get("sum", 0.0)
+                hist.count = sample.get("count", 0)
+                for i, exemplar in enumerate(sample.get("exemplars") or []):
+                    hist.exemplars[i] = dict(exemplar) if exemplar else None
+        return registry
+
     def value(self, name: str, **labels: Any) -> Optional[float]:
         """Convenience: a counter/gauge value (None when absent)."""
         inst = self._instruments.get(self._key(name, labels))
@@ -373,10 +409,31 @@ class MetricsRegistry:
 
 # -- cross-shard merging ------------------------------------------------------
 #
-# The sharded front-end (repro.service.shard) aggregates metrics that
+# Each SessionManager's registry is the only store of its sessions'
+# counters.  The ``_ metrics`` document ships it as ``to_doc()``; the
+# sharded router (repro.service.shard) merges those documents, which
 # were sampled in *separate worker processes*, so the merge operates on
-# the JSON-safe sample documents the wire carries, never on live
-# instrument objects.
+# the JSON-safe documents the wire carries, never on live instruments.
+
+#: ``_ metrics`` ``totals`` field -> the instrument summed into it.
+TOTALS_SOURCES = {
+    "commands": "repro_session_commands_total",
+    "journal_records_written": "repro_journal_records_total",
+    "journal_bytes_written": "repro_journal_bytes_total",
+    "journal_syncs": "repro_journal_fsyncs_total",
+    "snapshots_written": "repro_snapshots_total",
+    "spans_recorded": "repro_spans_total",
+    "spans_dropped": "repro_trace_dropped_total",
+    "prof_samples": "repro_prof_samples",
+    "prof_dropped": "repro_prof_dropped_total",
+}
+
+#: metric-name prefixes of the decision analytics
+#: (:mod:`repro.obs.analytics`), which ``_ metrics`` also shows on
+#: their own under ``analytics``.
+ANALYTICS_PREFIXES = ("repro_decision_", "repro_undo_",
+                      "repro_violation_", "repro_analysis_pairs_")
+
 
 def merge_histogram_docs(docs: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     """Bucket-wise merge of :meth:`Histogram.sample` documents.
@@ -412,96 +469,132 @@ def merge_histogram_docs(docs: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     return merged.sample()
 
 
+def merge_registry_docs(docs: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+    """Merge :meth:`MetricsRegistry.to_doc` documents into one.
+
+    Counter and gauge samples with the same labels sum; histogram
+    samples with the same labels merge bucket-wise via
+    :func:`merge_histogram_docs`.  Documents may cover different
+    instruments (a shard that never ran an undo has no cascade
+    histogram): absent means zero.  A name that is a different kind in
+    two documents raises :class:`MetricsError`.
+    """
+    merged: Dict[str, Any] = {}
+    groups: Dict[str, Dict[LabelItems, List[Dict[str, Any]]]] = {}
+    for doc in docs:
+        for name, entry in doc.items():
+            target = merged.setdefault(
+                name, {"kind": entry["kind"], "help": "", "samples": []})
+            if target["kind"] != entry["kind"]:
+                raise MetricsError(
+                    f"{name} is {target['kind']} in one document and "
+                    f"{entry['kind']} in another")
+            target["help"] = target["help"] or entry.get("help", "")
+            by_labels = groups.setdefault(name, {})
+            for sample in entry.get("samples", []):
+                key = tuple(sorted(sample.get("labels", {}).items()))
+                by_labels.setdefault(key, []).append(sample)
+    for name, by_labels in groups.items():
+        for key, samples in sorted(by_labels.items()):
+            if merged[name]["kind"] == "histogram":
+                sample = merge_histogram_docs(samples)
+            else:
+                sample = {"value": sum(s.get("value", 0) for s in samples)}
+            sample["labels"] = dict(key)
+            merged[name]["samples"].append(sample)
+    return merged
+
+
+def registry_views(doc: Dict[str, Any]) -> Dict[str, Any]:
+    """The ``totals``, ``latency`` and ``analytics`` views of a
+    :meth:`MetricsRegistry.to_doc` document (one manager's or a merge).
+
+    ``totals`` sums each :data:`TOTALS_SOURCES` instrument over its
+    labels, as integers (absent instruments read 0).  ``latency`` is
+    ``repro_command_seconds`` merged over its ``op`` label, present once
+    any command ran.  ``analytics`` is the :data:`ANALYTICS_PREFIXES`
+    subset, present once any analytics instrument exists.
+    """
+    def samples(name: str) -> List[Dict[str, Any]]:
+        return doc.get(name, {}).get("samples", [])
+
+    views: Dict[str, Any] = {"totals": {
+        field: int(sum(s.get("value", 0) for s in samples(name)))
+        for field, name in TOTALS_SOURCES.items()}}
+    latencies = [s for s in samples("repro_command_seconds") if s["count"]]
+    if latencies:
+        views["latency"] = merge_histogram_docs(latencies)
+    analytics = {name: entry for name, entry in doc.items()
+                 if name.startswith(ANALYTICS_PREFIXES)}
+    if analytics:
+        views["analytics"] = analytics
+    return views
+
+
 def merge_aggregate_metrics(
         docs: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     """Merge per-shard ``SessionManager.aggregate_metrics()`` documents.
 
-    Scalar ``totals`` fields and the eviction/reopen counts are summed,
-    the live/on-disk session lists are concatenated (a session lives on
-    exactly one shard, so the union is disjoint), and the per-shard
-    command-latency histograms are merged bucket-wise via
-    :func:`merge_histogram_docs`.  Served by the sharded router's
+    The session lists concatenate (a session lives on exactly one
+    shard, so the union is disjoint), the eviction/reopen counts sum,
+    the registries merge by :func:`merge_registry_docs`, and the
+    ``totals``/``latency``/``analytics`` views are read from the merged
+    registry by :func:`registry_views`.  Served by the sharded router's
     ``_ metrics`` verb.
     """
-    totals: Dict[str, float] = {}
-    for doc in docs:
-        for field, value in doc.get("totals", {}).items():
-            totals[field] = totals.get(field, 0) + value
-    merged: Dict[str, Any] = {
-        "totals": totals,
-        "live": sorted(n for d in docs for n in d.get("live", [])),
-        "on_disk": sorted(n for d in docs for n in d.get("on_disk", [])),
-        "evictions": sum(d.get("evictions", 0) for d in docs),
-        "reopens": sum(d.get("reopens", 0) for d in docs),
-        "shards": len(docs),
-    }
-    latencies = [d["latency"] for d in docs if d.get("latency")]
-    if latencies:
-        merged["latency"] = merge_histogram_docs(latencies)
-    analytics = [d["analytics"] for d in docs if d.get("analytics")]
-    if analytics:
-        from repro.obs.analytics import merge_analytics_docs
-        merged["analytics"] = merge_analytics_docs(analytics)
-    return merged
+    registry = merge_registry_docs([d.get("registry", {}) for d in docs])
+    return {"live": sorted(n for d in docs for n in d.get("live", [])),
+            "on_disk": sorted(n for d in docs for n in d.get("on_disk", [])),
+            "evictions": sum(d.get("evictions", 0) for d in docs),
+            "reopens": sum(d.get("reopens", 0) for d in docs),
+            "shards": len(docs),
+            "registry": registry,
+            **registry_views(registry)}
+
+
+def _single(kind: str, help_text: str, value: Union[int, float]
+            ) -> Dict[str, Any]:
+    """A one-sample, unlabelled :meth:`MetricsRegistry.to_doc` entry."""
+    return {"kind": kind, "help": help_text,
+            "samples": [{"labels": {}, "value": value}]}
 
 
 def aggregate_to_prometheus(doc: Dict[str, Any]) -> str:
     """Render an ``aggregate_metrics`` document as Prometheus text.
 
-    The ``/metrics`` endpoint serves fleet totals, and those exist only
-    as the JSON documents the shards shipped over the pipe (already
-    merged by :func:`merge_aggregate_metrics`) — there is no live
-    registry holding them.  So this builds one: a throwaway
-    :class:`MetricsRegistry` populated from the document, rendered by
-    the same :meth:`MetricsRegistry.render` the tests already pin down,
-    which keeps the two exposition formats from drifting apart.
-
-    Works on both shapes: a single manager's document (no ``shards``
-    key) and the cross-shard merge.
+    Every instrument of the document's ``registry`` renders under its
+    own name, next to the ``repro_fleet_*`` series read from the
+    document's other keys: one counter per ``totals`` field, the session
+    gauges, the eviction/reopen counters, the shard count (merged
+    documents only) and ``latency`` as ``repro_fleet_command_seconds``.
+    Both go through :meth:`MetricsRegistry.from_doc` and the same
+    :meth:`MetricsRegistry.render` the tests pin down, which keeps the
+    two exposition formats from drifting apart.
     """
-    registry = MetricsRegistry()
-    for field, value in sorted(doc.get("totals", {}).items()):
-        counter = registry.counter(f"repro_fleet_{field}",
-                                   f"{field} summed across the fleet")
-        counter.value = float(value)
-    registry.gauge("repro_fleet_live_sessions",
-                   "sessions currently live in a manager").set(
-                       len(doc.get("live", [])))
-    registry.gauge("repro_fleet_sessions_on_disk",
-                   "sessions present on disk").set(
-                       len(doc.get("on_disk", [])))
-    registry.counter("repro_fleet_evictions_total",
-                     "LRU session evictions").value = \
-        float(doc.get("evictions", 0))
-    registry.counter("repro_fleet_reopens_total",
-                     "sessions reopened from disk").value = \
-        float(doc.get("reopens", 0))
+    fleet = {f"repro_fleet_{field}": _single(
+        "counter", f"{field} summed across the fleet", float(value))
+        for field, value in doc.get("totals", {}).items()}
+    fleet["repro_fleet_live_sessions"] = _single(
+        "gauge", "sessions currently live in a manager",
+        len(doc.get("live", [])))
+    fleet["repro_fleet_sessions_on_disk"] = _single(
+        "gauge", "sessions present on disk", len(doc.get("on_disk", [])))
+    fleet["repro_fleet_evictions_total"] = _single(
+        "counter", "LRU session evictions", float(doc.get("evictions", 0)))
+    fleet["repro_fleet_reopens_total"] = _single(
+        "counter", "sessions reopened from disk",
+        float(doc.get("reopens", 0)))
     if "shards" in doc:
-        registry.gauge("repro_fleet_shards",
-                       "shard documents merged into this exposition").set(
-                           doc["shards"])
-    latency = doc.get("latency")
-    if latency:
-        bounds = [pair[0] for pair in latency["buckets"]]
-        hist = registry.histogram(
-            "repro_fleet_command_seconds",
-            "end-to-end command latency, merged bucket-wise",
-            buckets=bounds)
-        hist.counts = [pair[1] for pair in latency["buckets"]] + \
-            [latency["overflow"]]
-        hist.sum = latency["sum"]
-        hist.count = latency["count"]
-        exemplars = latency.get("exemplars")
-        if exemplars:
-            hist.exemplars = [dict(e) if e else None for e in exemplars]
-    analytics = doc.get("analytics")
-    if analytics:
-        # fleet-merged decision analytics render with their own names
-        # (they are already repro_*-namespaced, and this registry holds
-        # nothing else) through the same pinned render path
-        from repro.obs.analytics import analytics_to_registry
-        analytics_to_registry(analytics, registry)
-    return registry.render()
+        fleet["repro_fleet_shards"] = _single(
+            "gauge", "shard documents merged into this exposition",
+            doc["shards"])
+    if doc.get("latency"):
+        fleet["repro_fleet_command_seconds"] = {
+            "kind": "histogram",
+            "help": "end-to-end command latency, merged bucket-wise",
+            "samples": [doc["latency"]]}
+    return MetricsRegistry.from_doc(
+        {**doc.get("registry", {}), **fleet}).render()
 
 
 #: the process-wide default registry instrumented seams fall back to.

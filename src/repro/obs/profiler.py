@@ -28,10 +28,6 @@ Design points:
   (wired to ``repro_prof_dropped_total``) makes the loss visible in
   ``/metrics`` — a profiler that silently under-samples lies with
   authority.
-* **A zero-cost off switch** — :data:`Profiler.disabled` mirrors
-  ``Tracer.disabled``: a shared instance whose :meth:`Profiler.start`
-  refuses, so plumbing a profiler through engines and servers costs an
-  attribute load when profiling is off.
 
 Overhead at the default 100 hz is asserted under the 5% tracing budget
 by ``benchmarks/bench_e7_observability.py``; the arithmetic is simple —
@@ -73,22 +69,13 @@ class Profiler:
     accumulated profile survives stop/start cycles until :meth:`reset`,
     so an operator can profile in windows and dump once.  Thread-safe:
     the sampler owns the table under :attr:`_lock`; readers snapshot.
-
-    ``Profiler.disabled`` is the documented zero-cost instance
-    (mirroring ``Tracer.disabled``): ``start`` refuses, every export is
-    empty, and attaching it costs one attribute load.
     """
 
-    #: the shared no-op profiler (assigned after the class body).
-    disabled: "Profiler"
-
-    def __init__(self, hz: float = 100.0, *, max_stacks: int = 10000,
-                 enabled: bool = True):
+    def __init__(self, hz: float = 100.0, *, max_stacks: int = 10000):
         if hz <= 0:
             raise ValueError("hz must be > 0")
         self.hz = float(hz)
         self.max_stacks = max_stacks
-        self.enabled = enabled
         #: samples folded into the table so far (monotonic).
         self.samples = 0
         #: samples lost — overrun ticks plus stack-table overflow.
@@ -113,8 +100,8 @@ class Profiler:
         return self._thread is not None and self._thread.is_alive()
 
     def start(self, hz: Optional[float] = None) -> bool:
-        """Begin sampling; returns False when disabled or already on."""
-        if not self.enabled or self.running:
+        """Begin sampling; returns False when already on."""
+        if self.running:
             return False
         if hz is not None:
             if hz <= 0:
@@ -268,8 +255,6 @@ class Profiler:
         rows.sort(key=lambda r: (-r["self"], -r["cum"], r["frame"]))
         return rows
 
-
-Profiler.disabled = Profiler(enabled=False)
 
 
 # -- folded-stack text --------------------------------------------------------

@@ -284,6 +284,10 @@ class FlightRecorder:
         #: question asked after an incident.  Wired by the engine to
         #: ``repro_trace_dropped_total``; any object with ``inc()`` works.
         self.drop_counter: Optional[Any] = None
+        #: optional counter incremented once per recorded span — the
+        #: registry copy of :attr:`completed`, wired by the engine to
+        #: ``repro_spans_total``.
+        self.span_counter: Optional[Any] = None
 
     def add(self, span: Span) -> None:
         """Record one completed span (oldest evicted when full)."""
@@ -292,6 +296,8 @@ class FlightRecorder:
             self.drop_counter.inc()
         self._spans.append(span)
         self.completed += 1
+        if self.span_counter is not None:
+            self.span_counter.inc()
 
     @property
     def dropped(self) -> int:

@@ -266,8 +266,9 @@ def recover(dirpath: str, *, strategy: Optional[UndoStrategy] = None,
     crashed.  So does a journal missing any seq up to the recovered one,
     which only losing fsynced data can cause.
 
-    ``tracer``/``metrics`` land on the rebuilt engine, and the whole
-    reconstruction runs inside one ``recover`` span — the replayed
+    The rebuilt engine is constructed with ``tracer``/``metrics``, so
+    its undo engine and flight recorder count into ``metrics``.  The
+    whole reconstruction runs inside one ``recover`` span — the replayed
     commands' spans become its *children* and carry no journal ``seq``
     annotation, so the flight-recorder round-trip check never mistakes
     a replay for a newly committed command.
@@ -289,18 +290,18 @@ def recover(dirpath: str, *, strategy: Optional[UndoStrategy] = None,
 
         if snap is not None:
             snap_seq, payload = snap
-            engine = engine_from_doc(payload["engine"], strategy=strategy)
+            engine = engine_from_doc(payload["engine"], strategy=strategy,
+                                     tracer=tracer, metrics=registry)
             delta_base = _delta_base(snap_seq, payload, engine)
             tail = [r for r in records if r.seq > snap_seq]
             seq = snap_seq
         else:
             snap_seq = delta_base = None
             engine = TransformationEngine(parse_program(meta["source"]),
-                                          strategy=strategy)
+                                          strategy=strategy, tracer=tracer,
+                                          metrics=registry)
             tail = records
             seq = 0
-        engine.tracer = tracer
-        engine.metrics = registry
 
         for rec in tail:
             if rec.seq != seq + 1:

@@ -633,7 +633,8 @@ def engine_to_doc(engine) -> Dict[str, Any]:
     }
 
 
-def engine_from_doc(doc: Dict[str, Any], strategy=None):
+def engine_from_doc(doc: Dict[str, Any], strategy=None, *, tracer=None,
+                    metrics=None):
     """Rebuild a fully working engine from :func:`engine_to_doc` output.
 
     The restored engine shares nothing with the document: applying,
@@ -641,6 +642,7 @@ def engine_from_doc(doc: Dict[str, Any], strategy=None):
     edits all behave exactly as in the original process.  Analysis
     caches and events are *not* persisted — caches rebuild lazily on
     first use, and the event log restarts from its persisted digest.
+    ``tracer``/``metrics`` are handed to the engine's constructor.
     """
     from repro.core.engine import TransformationEngine
 
@@ -649,7 +651,8 @@ def engine_from_doc(doc: Dict[str, Any], strategy=None):
     store = store_from_doc(doc["annotations"])
     events = EventLog(digest=events_digest(doc))
     engine = TransformationEngine(program, strategy=strategy,
-                                  history=history, store=store, events=events)
+                                  history=history, store=store, events=events,
+                                  tracer=tracer, metrics=metrics)
     ap = doc["applier"]
     engine.applier.restore_instrumentation(
         ap["next_action_id"], ap["applied"], ap["inverted"])

@@ -474,18 +474,21 @@ class SessionServer(Front):
         return error_reply("unknown-verb", repr(verb))
 
     def expo_metrics_doc(self) -> Dict[str, Any]:
-        """The ``_ metrics`` document: manager totals + profiler drops.
+        """The ``_ metrics`` document: the manager's aggregate.
 
-        Adds ``prof_samples`` / ``prof_dropped`` next to the span-drop
-        totals so every observability loss channel (flight-recorder
-        rings, profiler ticks) is countable from one document — the
-        fields sum generically across shards in
+        The front's own instruments share the manager's registry, so
+        the profiler's drop counter is already in it; its sample count
+        is set as the ``repro_prof_samples`` gauge first.  Together with
+        the span drops, every observability loss channel
+        (flight-recorder rings, profiler ticks) is countable from one
+        document, and sums across shards in
         :func:`repro.obs.metrics.merge_aggregate_metrics`.
         """
-        doc = self.manager.aggregate_metrics()
-        doc["totals"]["prof_samples"] = self.profiler.samples
-        doc["totals"]["prof_dropped"] = self.profiler.dropped
-        return doc
+        self.registry.gauge(
+            "repro_prof_samples",
+            "samples the front's profiler folded so far").set(
+                self.profiler.samples)
+        return self.manager.aggregate_metrics()
 
     def _health_detail(self) -> Dict[str, Any]:
         return {"pid": os.getpid()}

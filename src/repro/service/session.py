@@ -46,10 +46,9 @@ from repro.edit.invalidate import InvalidationStats, remove_unsafe
 from repro.lang.ast_nodes import ROOT_SID, Expr, ExprPath, Stmt
 from repro.lang.parser import parse_program
 from repro.core.locations import Location
-from repro.obs import metrics as obs_metrics
-from repro.obs.analytics import DecisionAnalytics, analytics_doc
+from repro.obs.analytics import DecisionAnalytics
 from repro.obs.check import trace_path
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import Histogram, MetricsRegistry, registry_views
 from repro.obs.provenance import audit_entry, audit_path
 from repro.obs.trace import Span, Tracer, annotate_request
 from repro.service.journal import Journal, scan_journal
@@ -120,6 +119,12 @@ class DurableSession:
         self.journal = Journal(os.path.join(dirpath, JOURNAL_FILE),
                                fsync_every=int(meta.get("fsync_every", 8)),
                                metrics=engine.metrics)
+        #: journaled commands, counted next to ``seq`` (a command whose
+        #: append failed still counts, so poisoning shows as journal lag).
+        self._commands = engine.metrics.counter(
+            "repro_session_commands_total",
+            "commands durable sessions committed, counted before their "
+            "journal append")
         self._since_snapshot = 0
         # the full snapshot the next delta is cut against — the one this
         # handle wrote last, or the one recovery loaded (directly or
@@ -177,8 +182,14 @@ class DurableSession:
     def create(cls, dirpath: str, source: str, *,
                strategy: Optional[UndoStrategy] = None,
                snapshot_every: int = 32,
-               fsync_every: int = 8) -> "DurableSession":
-        """Initialise a new session directory around ``source``."""
+               fsync_every: int = 8,
+               metrics: Optional[MetricsRegistry] = None
+               ) -> "DurableSession":
+        """Initialise a new session directory around ``source``.
+
+        ``metrics`` is the registry the engine, journal and snapshot
+        store count into (the process-wide default when omitted).
+        """
         if os.path.exists(meta_path(dirpath)):
             raise SessionError(f"session already exists at {dirpath!r}")
         program = parse_program(source)  # validate before touching disk
@@ -188,15 +199,18 @@ class DurableSession:
                 "fsync_every": fsync_every}
         write_meta(dirpath, meta)
         engine = TransformationEngine(program, strategy=strategy,
-                                      tracer=_session_tracer(dirpath))
+                                      tracer=_session_tracer(dirpath),
+                                      metrics=metrics)
         return cls(dirpath, engine, meta, seq=0)
 
     @classmethod
     def open(cls, dirpath: str, *, verify: bool = False,
-             strategy: Optional[UndoStrategy] = None) -> "DurableSession":
-        """Recover a session from disk (crash-safe reopen)."""
+             strategy: Optional[UndoStrategy] = None,
+             metrics: Optional[MetricsRegistry] = None) -> "DurableSession":
+        """Recover a session from disk (crash-safe reopen); ``metrics``
+        as in :meth:`create`, recovery included."""
         result = recover(dirpath, strategy=strategy, verify=verify,
-                         tracer=_session_tracer(dirpath))
+                         tracer=_session_tracer(dirpath), metrics=metrics)
         return cls(dirpath, result.engine, result.meta, seq=result.seq,
                    recovery=result)
 
@@ -274,6 +288,7 @@ class DurableSession:
         try:
             enc = command.encode()
             self.seq += 1
+            self._commands.inc()
             self.tracer.annotate(seq=self.seq)
             syncs_before = self.journal.syncs
             with self.tracer.span("journal.append") as append:
@@ -551,16 +566,10 @@ class SessionManager:
     one session do not block the others.
     """
 
-    #: :meth:`DurableSession.metrics` fields summed across sessions by
-    #: :meth:`aggregate_metrics` (live samples + retired totals).
-    _AGG_FIELDS = ("commands", "journal_records_written",
-                   "journal_bytes_written", "journal_syncs",
-                   "snapshots_written", "spans_recorded", "spans_dropped")
-
     def __init__(self, root: str, *, max_live: int = 8,
                  snapshot_every: int = 32, fsync_every: int = 8,
                  strategy: Optional[UndoStrategy] = None,
-                 metrics: Optional[obs_metrics.MetricsRegistry] = None):
+                 metrics: Optional[MetricsRegistry] = None):
         if max_live < 1:
             raise ValueError("max_live must be >= 1")
         self.root = root
@@ -568,11 +577,13 @@ class SessionManager:
         self.snapshot_every = snapshot_every
         self.fsync_every = fsync_every
         self.strategy = strategy
+        #: the only store of this manager's sessions' counters: their
+        #: engines, journals, snapshot stores and recoveries count here
+        #: (a private registry unless one is passed), and
+        #: :meth:`aggregate_metrics` reads nothing else.
         self.metrics_registry = metrics if metrics is not None \
-            else obs_metrics.REGISTRY
-        #: decision analytics shared by every engine this manager opens;
-        #: counters land in ``metrics_registry`` and ship cross-shard
-        #: inside the ``_ metrics`` document (``analytics`` key).
+            else MetricsRegistry()
+        #: decision analytics shared by every engine this manager opens.
         self.analytics = DecisionAnalytics(registry=self.metrics_registry)
         self._lock = threading.Lock()
         #: name -> (session, per-session lock); LRU order, oldest first.
@@ -580,13 +591,6 @@ class SessionManager:
             = OrderedDict()
         self.evictions = 0
         self.reopens = 0
-        #: final per-session counts absorbed when a session is evicted
-        #: or closed — aggregate totals stay monotonic across evictions
-        #: (a reopened session's live counters restart at zero).
-        self._retired: Dict[str, float] = {f: 0 for f in self._AGG_FIELDS}
-        #: bucket-wise merged command-latency sample of retired sessions
-        #: (same monotonicity story as ``_retired``).
-        self._retired_latency: Optional[Dict[str, Any]] = None
 
     def path_for(self, name: str) -> str:
         """Directory of one named session (rejects path-escape names)."""
@@ -604,7 +608,8 @@ class SessionManager:
             session = DurableSession.create(
                 self.path_for(name), source, strategy=self.strategy,
                 snapshot_every=self.snapshot_every,
-                fsync_every=self.fsync_every)
+                fsync_every=self.fsync_every,
+                metrics=self.metrics_registry)
             self.analytics.attach(session.engine)
             self._live[name] = (session, threading.RLock())
             self._evict_idle_locked(keep=name)
@@ -618,7 +623,8 @@ class SessionManager:
             dirpath = self.path_for(name)
             if not os.path.exists(meta_path(dirpath)):
                 raise SessionError(f"no session named {name!r}")
-            session = DurableSession.open(dirpath, strategy=self.strategy)
+            session = DurableSession.open(dirpath, strategy=self.strategy,
+                                          metrics=self.metrics_registry)
             self.analytics.attach(session.engine)
             self.reopens += 1
             self._live[name] = (session, threading.RLock())
@@ -646,22 +652,11 @@ class SessionManager:
                 continue  # busy — not idle, not evictable
             try:
                 session.snapshot()
-                self._absorb_locked(session)
                 session.close()
                 del self._live[name]
                 self.evictions += 1
             finally:
                 lock.release()
-
-    def _absorb_locked(self, session: DurableSession) -> None:
-        """Fold a closing session's final counts into the retired totals."""
-        sample = session.metrics()
-        for field in self._AGG_FIELDS:
-            self._retired[field] += sample[field]
-        latency = session._latency.sample()
-        if latency["count"]:
-            docs = [d for d in (self._retired_latency, latency) if d]
-            self._retired_latency = obs_metrics.merge_histogram_docs(docs)
 
     @contextmanager
     def session(self, name: str) -> Iterator[DurableSession]:
@@ -743,37 +738,18 @@ class SessionManager:
                     "reopens": self.reopens}
 
     def aggregate_metrics(self) -> Dict[str, Any]:
-        """Persistence totals across every session this manager served.
+        """Totals across every session this manager served.
 
-        Live sessions are sampled in place; evicted/closed ones had
-        their final counts absorbed into the retired totals at close
-        time — so the totals are monotonic across evictions and scoped
-        to *this* manager, unlike the process-global registry (which
-        mixes every engine in the process).  Served by the line
+        ``registry`` is :attr:`metrics_registry`'s document; ``totals``,
+        ``latency`` and ``analytics`` are its
+        :func:`~repro.obs.metrics.registry_views`.  The registry is
+        written as sessions work, so the totals are monotonic across
+        evictions and scoped to *this* manager.  Served by the line
         protocol's manager-level ``_ metrics`` verb.
         """
-        with self._lock:
-            totals = dict(self._retired)
-            latencies = [self._retired_latency] if self._retired_latency \
-                else []
-            for session, _lock in self._live.values():
-                sample = session.metrics()
-                for field in self._AGG_FIELDS:
-                    totals[field] += sample[field]
-                live_latency = session._latency.sample()
-                if live_latency["count"]:
-                    latencies.append(live_latency)
-            out: Dict[str, Any] = {"totals": totals,
-                                   "live": list(self._live),
-                                   "on_disk": self.list_sessions(),
-                                   "evictions": self.evictions,
-                                   "reopens": self.reopens}
-            if latencies:
-                out["latency"] = obs_metrics.merge_histogram_docs(latencies)
-            analytics = analytics_doc(self.metrics_registry)
-            if analytics:
-                out["analytics"] = analytics
-            return out
+        registry = self.metrics_registry.to_doc()
+        return {**self.stats(), "registry": registry,
+                **registry_views(registry)}
 
     def close_all(self) -> None:
         """Snapshot and close every live session (shutdown path)."""
@@ -781,6 +757,5 @@ class SessionManager:
             for name, (session, lock) in list(self._live.items()):
                 with lock:
                     session.snapshot()
-                    self._absorb_locked(session)
                     session.close()
                 del self._live[name]

@@ -23,10 +23,11 @@ programs discipline, mapped onto processes).  The design:
   observer and operator surfaces (:class:`~repro.service.server.Front`):
   it forwards each request to its shard and streams the response back,
   fanning ``_ sessions`` / ``_ stats`` / ``_ metrics`` / ``_ slow`` /
-  ``_ prof`` out to every shard and merging the answers (scalar totals
-  summed, latency histograms merged bucket-wise by
-  :func:`repro.obs.metrics.merge_aggregate_metrics`, slow logs by wall
-  clock, collapsed profiler stacks summed line-wise by
+  ``_ prof`` out to every shard and merging the answers (each worker
+  manager's metrics registry merged by
+  :func:`repro.obs.metrics.merge_aggregate_metrics` — counters summed,
+  histograms merged bucket-wise — slow logs by wall clock, collapsed
+  profiler stacks summed line-wise by
   :func:`repro.obs.profiler.merge_folded`).
 * **Worker death is detected, reported, and repaired.**  A request to a
   dead worker gets a clear ``error: shard: ...`` reply (never a hang);
@@ -470,12 +471,12 @@ class ShardRouter(Front):
     def _health_detail(self) -> Dict[str, Any]:
         """Worker liveness plus journal lag for ``/healthz``.
 
-        ``ok`` (every worker alive) decides the HTTP status.  The
-        journal block compares fleet-wide committed commands against
-        journal records actually written — a growing lag means workers
-        are acknowledging commands their journals have not recorded,
-        which the poisoning protocol should make impossible; surfacing
-        the number is how an operator verifies that it is.
+        ``ok`` (every worker alive, and the fleet metrics document
+        assembled) decides the HTTP status; the lag is reported, not
+        judged.  The journal block compares fleet-wide committed
+        commands against journal records actually written — a lag means
+        a session was poisoned after committing a command its journal
+        did not record; surfacing the number is how an operator sees it.
         """
         status = self.shard_status()
         doc: Dict[str, Any] = {

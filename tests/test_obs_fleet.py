@@ -44,10 +44,12 @@ from repro.obs.collector import (
 from repro.obs.expo import ExpoServer
 from repro.obs.metrics import (
     REGISTRY,
+    TOTALS_SOURCES,
     MetricsRegistry,
     aggregate_to_prometheus,
     merge_aggregate_metrics,
     merge_histogram_docs,
+    registry_views,
 )
 from repro.obs.slo import SloTracker
 from repro.obs.slowlog import MAX_LINE_CHARS, SlowLog
@@ -280,25 +282,40 @@ def _hist_doc(registry_values):
     return hist.sample()
 
 
+def _registry_doc(latencies=(), **totals):
+    """One manager's registry document: each ``totals`` field counted
+    into its source instrument, ``latencies`` observed as applies."""
+    registry = MetricsRegistry()
+    for field, value in totals.items():
+        registry.counter(TOTALS_SOURCES[field]).inc(value)
+    for seconds in latencies:
+        registry.histogram("repro_command_seconds", op="apply").observe(
+            seconds)
+    return registry.to_doc()
+
+
 class TestMergeEdgeCases:
     def test_disjoint_totals_fields_union_and_sum(self):
         merged = merge_aggregate_metrics([
-            {"totals": {"commands": 2, "journal_syncs": 1}},
-            {"totals": {"commands": 3, "snapshots_written": 7}},
+            {"registry": _registry_doc(commands=2, journal_syncs=1)},
+            {"registry": _registry_doc(commands=3, snapshots_written=7)},
         ])
-        assert merged["totals"] == {"commands": 5, "journal_syncs": 1,
-                                    "snapshots_written": 7}
+        assert merged["totals"] == {
+            **dict.fromkeys(TOTALS_SOURCES, 0),
+            "commands": 5, "journal_syncs": 1, "snapshots_written": 7}
+        assert all(type(v) is int for v in merged["totals"].values())
         assert merged["shards"] == 2
 
     def test_empty_histograms_are_skipped_not_merged(self):
+        idle = MetricsRegistry()
+        idle.histogram("repro_command_seconds", op="undo")  # no samples
         merged = merge_aggregate_metrics([
-            {"totals": {}, "latency": None},
-            {"totals": {}},
+            {"registry": idle.to_doc()},
+            {"registry": _registry_doc()},
         ])
         assert "latency" not in merged
-        one = _hist_doc([0.05])
         merged = merge_aggregate_metrics([
-            {"totals": {}, "latency": one}, {"totals": {}}])
+            {"registry": _registry_doc([0.05])}, {"registry": idle.to_doc()}])
         assert merged["latency"]["count"] == 1
 
     def test_percentiles_rederive_from_merged_buckets(self):
@@ -321,12 +338,15 @@ class TestMergeEdgeCases:
 
     def test_aggregate_to_prometheus_renders_fleet_metrics(self):
         doc = merge_aggregate_metrics([
-            {"totals": {"commands": 4}, "live": ["a"], "on_disk": ["a"],
-             "evictions": 1, "reopens": 2, "latency": _hist_doc([0.05])},
-            {"totals": {"commands": 6}, "live": [], "on_disk": ["b"],
-             "evictions": 0, "reopens": 0},
+            {"registry": _registry_doc([0.05], commands=4), "live": ["a"],
+             "on_disk": ["a"], "evictions": 1, "reopens": 2},
+            {"registry": _registry_doc(commands=6), "live": [],
+             "on_disk": ["b"], "evictions": 0, "reopens": 0},
         ])
         text = aggregate_to_prometheus(doc)
+        # the merged registry renders under its own names
+        assert "repro_session_commands_total 10.0" in text
+        assert 'repro_command_seconds_count{op="apply"} 1' in text
         assert "repro_fleet_commands 10.0" in text
         assert "repro_fleet_live_sessions 1" in text
         assert "repro_fleet_sessions_on_disk 2" in text
@@ -336,9 +356,10 @@ class TestMergeEdgeCases:
         assert "# TYPE repro_fleet_commands counter" in text
 
     def test_aggregate_to_prometheus_handles_single_manager_doc(self):
+        registry = _registry_doc(commands=1)
         text = aggregate_to_prometheus(
-            {"totals": {"commands": 1}, "live": [], "on_disk": [],
-             "evictions": 0, "reopens": 0})
+            {"registry": registry, **registry_views(registry), "live": [],
+             "on_disk": [], "evictions": 0, "reopens": 0})
         assert "repro_fleet_commands 1.0" in text
         assert "repro_fleet_shards" not in text
 
@@ -553,6 +574,39 @@ class TestExpo:
 
             status, body = _get(base + "/nope")
             assert status == 404
+
+    def test_fleet_metrics_serve_every_registry_instrument(self, tmp_path):
+        """After an evict and reopen on a two-shard fleet, ``/metrics``
+        carries the workers' own instruments next to the fleet series."""
+        prog = tmp_path / "p.loop"
+        prog.write_text(SRC)
+        by_shard = {0: [], 1: []}
+        for name in (f"s{i}" for i in range(64)):
+            by_shard[shard_index(name, 2)].append(name)
+        # two sessions on shard 0 to evict each other, one on shard 1
+        names = by_shard[0][:2] + by_shard[1][:1]
+        with ShardRouter(str(tmp_path / "fleet"), 2,
+                         manager_kwargs={"max_live": 1}) as router:
+            for name in names:
+                assert router.handle_line(f"{name} init {prog}") == \
+                    f"created {name}"
+                assert router.handle_line(f"{name} apply ctp 0").startswith(
+                    "applied")
+            # shard 0 reopens its first session, evicting the second
+            assert router.handle_line(f"{names[0]} undo 1").startswith(
+                "undone")
+            with ExpoServer(router) as expo:
+                host, port = expo.address
+                status, body = _get(f"http://{host}:{port}/metrics")
+        assert status == 200
+        for family in ("repro_journal_fsync_seconds",
+                       "repro_session_lock_wait_seconds",
+                       "repro_recovery_seconds", "repro_command_seconds",
+                       "repro_fleet_commands", "repro_fleet_shards",
+                       "repro_fleet_command_seconds"):
+            assert f"# TYPE {family} " in body, family
+        assert "repro_fleet_commands 4.0" in body
+        assert "repro_fleet_reopens_total 1.0" in body
 
     def test_unhealthy_front_answers_503(self):
         class Front:

@@ -5,16 +5,14 @@ Pins the continuous-profiling PR's contracts:
 * :class:`repro.obs.profiler.Profiler` — start/stop lifecycle, stack
   sampling with span/request attribution (via
   :func:`repro.obs.trace.thread_activity`), folded-stack and
-  self/cumulative exports, drop accounting, and the zero-cost
-  ``Profiler.disabled`` instance;
+  self/cumulative exports and drop accounting;
 * the folded-stack wire format (``parse_folded`` / ``render_folded`` /
   ``merge_folded``) the sharded router merges per-worker dumps with;
-* the engine's ``profiler=`` wiring and the command-latency exemplars
-  it records per request;
+* the command-latency exemplars the engine records per request;
 * :class:`repro.obs.analytics.DecisionAnalytics` — per-transform
-  decision counters fed from ``command_observers``, and the
-  cross-shard analytics document (``analytics_doc`` /
-  ``merge_analytics_docs`` / ``analytics_to_registry``).
+  decision counters fed from ``command_observers``, and their trip
+  through the cross-shard registry document (``registry_views`` /
+  ``merge_registry_docs`` / ``MetricsRegistry.from_doc``).
 """
 
 import json
@@ -26,13 +24,13 @@ import pytest
 from repro.core.commands import ApplyCommand, UndoCommand
 from repro.core.engine import TransformationEngine
 from repro.lang.parser import parse_program
-from repro.obs.analytics import (
-    DecisionAnalytics,
-    analytics_doc,
-    analytics_to_registry,
-    merge_analytics_docs,
+from repro.obs.analytics import DecisionAnalytics
+from repro.obs.metrics import (
+    MetricsError,
+    MetricsRegistry,
+    merge_registry_docs,
+    registry_views,
 )
-from repro.obs.metrics import MetricsError, MetricsRegistry
 from repro.obs.profiler import (
     IDLE_ROOT,
     Profiler,
@@ -103,13 +101,6 @@ class TestProfilerLifecycle:
             Profiler(hz=0)
         with pytest.raises(ValueError):
             Profiler().start(hz=-1)
-
-    def test_disabled_is_a_noop(self):
-        assert not Profiler.disabled.start()
-        assert not Profiler.disabled.running
-        assert Profiler.disabled.folded() == ""
-        assert Profiler.disabled.table() == []
-        assert Profiler.disabled.snapshot()["samples"] == 0
 
 
 class TestAttribution:
@@ -236,20 +227,6 @@ class TestFoldedFormat:
 
 
 class TestEngineWiring:
-    def test_engine_defaults_to_disabled_profiler(self):
-        engine = TransformationEngine(parse_program(SRC),
-                                      metrics=MetricsRegistry())
-        assert engine.profiler is Profiler.disabled
-
-    def test_engine_wires_the_drop_counter(self):
-        registry = MetricsRegistry()
-        prof = Profiler(hz=100.0)
-        engine = TransformationEngine(parse_program(SRC),
-                                      metrics=registry, profiler=prof)
-        assert engine.profiler is prof
-        prof._note_drops(2)
-        assert registry.value("repro_prof_dropped_total") == 2
-
     def test_command_latency_carries_request_exemplar(self):
         registry = MetricsRegistry()
         engine = TransformationEngine(parse_program(SRC), metrics=registry)
@@ -321,7 +298,7 @@ class TestDecisionAnalytics:
         registry = MetricsRegistry()
         self.run_workload(registry)
         registry.counter("repro_other_total").inc()
-        doc = analytics_doc(registry)
+        doc = registry_views(registry.to_doc())["analytics"]
         assert "repro_decision_commands_total" in doc
         assert "repro_other_total" not in doc
         assert json.loads(json.dumps(doc)) == doc
@@ -330,9 +307,8 @@ class TestDecisionAnalytics:
         r1, r2 = MetricsRegistry(), MetricsRegistry()
         self.run_workload(r1)
         self.run_workload(r2)
-        merged = merge_analytics_docs([analytics_doc(r1),
-                                       analytics_doc(r2)])
-        rebuilt = analytics_to_registry(merged)
+        merged = merge_registry_docs([r1.to_doc(), r2.to_doc()])
+        rebuilt = MetricsRegistry.from_doc(merged)
         assert rebuilt.value("repro_decision_commands_total",
                              op="undo", status="ok") == 2
         assert rebuilt.histogram("repro_undo_cascade_depth").count == 2
@@ -342,8 +318,8 @@ class TestDecisionAnalytics:
     def test_merge_tolerates_disjoint_documents(self):
         r1 = MetricsRegistry()
         self.run_workload(r1)
-        merged = merge_analytics_docs([analytics_doc(r1), {}])
-        assert merge_analytics_docs([merged])  # idempotent re-merge shape
+        merged = merge_registry_docs([r1.to_doc(), {}])
+        assert merge_registry_docs([merged]) == merged  # idempotent
 
     def test_merge_rejects_kind_conflicts(self):
         a = {"repro_undo_collateral": {"kind": "counter", "help": "",
@@ -351,7 +327,7 @@ class TestDecisionAnalytics:
         b = {"repro_undo_collateral": {"kind": "histogram", "help": "",
                                        "samples": []}}
         with pytest.raises(MetricsError):
-            merge_analytics_docs([a, b])
+            merge_registry_docs([a, b])
 
     def test_batch_members_counted_once_each(self):
         from repro.core.commands import BatchCommand

@@ -259,6 +259,24 @@ class TestManagerAggregation:
         # closing moves the live counts into the retired totals
         assert mgr.aggregate_metrics()["totals"]["commands"] == 3
 
+    def test_totals_count_each_command_once_across_reopens(self, tmp_path):
+        """Each of two sessions is evicted and reopened; the totals still
+        count every journaled command exactly once."""
+        mgr = SessionManager(str(tmp_path), max_live=1, snapshot_every=0)
+        mgr.create("a", SRC)
+        mgr.apply("a", "cse")
+        mgr.create("b", SRC)  # evicts a
+        mgr.apply("b", "cse")
+        mgr.apply("a", "ctp")  # reopens a, evicts b
+        mgr.apply("b", "ctp")  # reopens b, evicts a
+        mgr.apply("a", "cfo")  # reopens a again
+        assert mgr.reopens == 3
+        seqs = {name: mgr.metrics(name)["seq"] for name in ("a", "b")}
+        totals = mgr.aggregate_metrics()["totals"]
+        assert totals["commands"] == totals["journal_records_written"] \
+            == sum(seqs.values())
+        mgr.close_all()
+
     def test_lock_wait_and_hold_histograms_fill(self, tmp_path):
         reg = MetricsRegistry()
         mgr = SessionManager(str(tmp_path), metrics=reg)

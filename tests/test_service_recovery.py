@@ -586,3 +586,36 @@ class TestReopenCost:
         assert 0 < reopened.recovery.replayed < 200
         assert state_fingerprint(reopened.engine) == live
         reopened.close()
+
+
+class TestRecoveredEngineWiring:
+    @pytest.mark.parametrize("snapshot", [False, True],
+                             ids=["genesis", "snapshot"])
+    def test_recovered_engine_counts_into_the_passed_registry(
+            self, tmp_path, snapshot):
+        """The engine ``recover`` rebuilds is constructed with the
+        caller's registry and tracer: its undo engine's re-check counters
+        and its flight recorder's drop counter land in that registry,
+        not in the process-wide default."""
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.trace import Tracer
+
+        session = DurableSession.create(str(tmp_path), SRC,
+                                        snapshot_every=0)
+        for name in ("ctp", "cfo", "cse"):
+            session.apply(name)
+        if snapshot:
+            session.snapshot()
+        session.close()
+        reg = MetricsRegistry()
+        result = recover(str(tmp_path), metrics=reg, tracer=Tracer())
+        assert result.snapshot_seq == (3 if snapshot else None)
+        engine = result.engine
+        report = engine.undo(1)
+        assert report.safety_checks + report.reversibility_checks > 0
+        assert reg.total("repro_recheck_total") == \
+            report.safety_checks + report.reversibility_checks
+        assert reg.total("repro_recheck_skips_total") == \
+            report.heuristic_skips + report.region_skips
+        assert engine.tracer.recorder.drop_counter is \
+            reg.counter("repro_trace_dropped_total")

@@ -37,9 +37,9 @@ SRC_MANY = "".join(f"c{i} = {i}\nx{i} = c{i} + 2\nwrite x{i}\n"
 
 STAMP_RE = re.compile(r"t(\d+)")
 
-#: totals summed by the cross-shard metrics merge (mirrors
-#: SessionManager._AGG_FIELDS; the test asserts against this list so a
-#: drifting field set fails loudly here, not silently in the merge).
+#: totals summed by the cross-shard metrics merge (a subset of
+#: repro.obs.metrics.TOTALS_SOURCES; the test asserts against this list
+#: so a drifting field set fails loudly here, not silently in the merge).
 AGG_FIELDS = ("commands", "journal_records_written",
               "journal_bytes_written", "journal_syncs",
               "snapshots_written")
@@ -203,6 +203,28 @@ class TestAggregation:
         assert len(doc["per_shard"]) == 2
         names = set(names_on_shards(2, per_shard=2, prefix="agg"))
         assert names <= set(doc["live"]) | set(doc["on_disk"])
+
+
+class TestJournalLag:
+    def test_healthz_lag_is_zero_after_evict_and_reopen(self, tmp_path):
+        """Fleet ``commands`` counts each journaled command once, so two
+        sessions evicting each other on one shard report no lag."""
+        prog = tmp_path / "prog.loop"
+        prog.write_text(SRC)
+        root = str(tmp_path / "fleet")
+        with ShardRouter(root, 1, manager_kwargs={"max_live": 1}) as router:
+            assert router.handle_line(f"a init {prog}") == "created a"
+            assert router.handle_line("a apply ctp 0").startswith("applied")
+            assert router.handle_line(f"b init {prog}") == "created b"
+            assert router.handle_line("b apply ctp 0").startswith("applied")
+            # reopens a, evicting b
+            assert router.handle_line("a undo 1").startswith("undone")
+            stats = json.loads(router.handle_line("_ stats"))
+            assert stats["evictions"] >= 2 and stats["reopens"] >= 1
+            health = router.expo_health()
+            assert health["ok"], health
+            assert health["journal"] == {"commands": 3, "records": 3,
+                                         "lag": 0}
 
 
 class TestWorkerDeath:
