@@ -205,7 +205,7 @@ def main() -> int:
                 assert "repro_fleet_command_seconds_bucket" in text
             exemplars = re.findall(r'# \{request="(r-[0-9a-f]{12})"\}', text)
             assert exemplars, "no request exemplars on /metrics"
-            assert "repro_decision_commands_total" in text, \
+            assert "repro_undo_nodes_total" in text, \
                 "decision analytics missing from /metrics"
             print(f"ok: /metrics: prometheus exposition with fleet "
                   f"totals, analytics, {len(exemplars)} exemplar(s)")

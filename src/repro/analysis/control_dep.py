@@ -107,16 +107,6 @@ class ControlDepTree:
             stack.extend(r.children)
         return out
 
-    def region_subtree(self, rid: int) -> List[int]:
-        """``rid`` and all regions nested inside it."""
-        out: List[int] = []
-        stack = [rid]
-        while stack:
-            r = stack.pop()
-            out.append(r)
-            stack.extend(self.regions[r].children)
-        return out
-
     def is_ancestor(self, outer: int, inner: int) -> bool:
         """True when region ``outer`` encloses (or equals) region ``inner``."""
         rid: Optional[int] = inner

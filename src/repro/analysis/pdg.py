@@ -71,10 +71,6 @@ class PDG:
 
     # -- queries --------------------------------------------------------------
 
-    def control_children(self, node: PDGNode) -> List[PDGNode]:
-        """Nodes control-dependent on ``node``."""
-        return [e.dst for e in self.edges if e.src == node and e.kind == "control"]
-
     def data_edges(self) -> List[PDGEdge]:
         """All non-control (data/I-O dependence) edges."""
         return [e for e in self.edges if e.kind != "control"]

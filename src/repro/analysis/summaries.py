@@ -86,10 +86,6 @@ class RegionSummaries:
                     del self._by_stmt[sid]
         self._io.discard(d)
 
-    def stmt_deps(self, sid: int) -> List[Dependence]:
-        """Summarized dependences with ``sid`` as an endpoint."""
-        return list(self._by_stmt.get(sid, ()))
-
     # -- Figure 3's motivating query -----------------------------------------
 
     def fusion_blockers_via_summary(self, program: Program,

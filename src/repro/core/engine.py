@@ -129,7 +129,8 @@ class TransformationEngine:
                                        self.cache, self.registry,
                                        self.strategy, metrics=self.metrics)
         self._reverse_engine = ReverseUndoEngine(program, self.applier,
-                                                 self.history, self.cache)
+                                                 self.history, self.cache,
+                                                 metrics=self.metrics)
         if extra_transformations:
             for t in extra_transformations:
                 self.register(t)
@@ -290,8 +291,8 @@ class TransformationEngine:
 
         Batch sub-commands recurse through :meth:`execute`, so they are
         counted individually under their own op labels; the enclosing
-        batch's analysis timers are skipped to avoid double-crediting
-        the same analysis seconds.
+        batch's analysis timers and dependence pairs are skipped to
+        avoid double-crediting the same analysis work.
         """
         m = self.metrics
         m.counter("repro_commands_total",
@@ -304,11 +305,19 @@ class TransformationEngine:
                         seconds,
                         exemplar=ctx["request"] if ctx else None)
         if command.op != "batch":
-            for key, secs in (command.work.get("timers") or {}).items():
+            work = command.work
+            for key, secs in (work.get("timers") or {}).items():
                 m.histogram("repro_analysis_seconds",
                             "per-analysis wall-clock seconds "
                             "(WorkCounters timers)",
                             analysis=key).observe(secs)
+            for mode, key in (("full", "dependence_pairs"),
+                              ("regional", "incremental_pairs")):
+                pairs = work.get(key, 0)
+                if pairs:
+                    m.counter("repro_analysis_pairs_total",
+                              "dependence pairs computed, by analysis "
+                              "mode", mode=mode).inc(pairs)
 
     def _push_batch(self, sink: List[Command]) -> None:
         self._batch_sinks.append(sink)

@@ -22,7 +22,8 @@ from repro.analysis.incremental import AnalysisCache
 from repro.core.actions import ActionApplier, ActionError
 from repro.core.history import History
 from repro.core.undo import UndoError
-from repro.obs.provenance import ProvenanceNode
+from repro.obs import metrics as obs_metrics
+from repro.obs.provenance import ProvenanceNode, count_cascade
 from repro.lang.ast_nodes import Program
 
 
@@ -46,7 +47,8 @@ class ReverseUndoEngine:
 
     def __init__(self, program: Program, applier: ActionApplier,
                  history: History, cache: AnalysisCache,
-                 incremental: bool = True):
+                 incremental: bool = True,
+                 metrics: Optional[obs_metrics.MetricsRegistry] = None):
         self.program = program
         self.applier = applier
         self.history = history
@@ -54,6 +56,7 @@ class ReverseUndoEngine:
         #: patch materialized analyses from the inverse-action events
         #: instead of dropping the whole cache after every step.
         self.incremental = incremental
+        self.metrics = metrics if metrics is not None else obs_metrics.REGISTRY
 
     def undo_last(self) -> int:
         """Undo the most recently applied active transformation."""
@@ -108,4 +111,6 @@ class ReverseUndoEngine:
             exc.undone = list(report.undone)
             exc.provenance = root.to_doc()
             raise
+        finally:
+            count_cascade(self.metrics, root)
         return report

@@ -46,7 +46,11 @@ from repro.analysis.incremental import AnalysisCache
 from repro.core.actions import ActionApplier, ActionError
 from repro.obs import metrics as obs_metrics
 from repro.obs.provenance import (
+    FANOUT_BUCKETS,
     ProvenanceNode,
+    count_cascade,
+    count_check,
+    count_skip,
     reversibility_verdict,
     safety_verdict,
 )
@@ -181,6 +185,13 @@ class UndoEngine:
             # far the cascade got and which verdict stopped it.
             exc.provenance = root.to_doc()
             raise
+        finally:
+            count_cascade(self.metrics, root)
+            self.metrics.histogram(
+                "repro_undo_collateral",
+                "stamps undone beyond the requested target",
+                buckets=FANOUT_BUCKETS).observe(
+                    max(0, len(report.undone) - 1))
         return report
 
     # -- Figure 4 --------------------------------------------------------------
@@ -206,11 +217,7 @@ class UndoEngine:
             rr = transform.check_reversibility(self.program, self.store, rec)
             verdict = reversibility_verdict(rec, rr,
                                             triggered_by=report.target)
-            self.metrics.counter(
-                "repro_recheck_total",
-                "safety/reversibility re-checks during undo cascades",
-                check="reversibility",
-                outcome="ok" if rr.reversible else "violation").inc()
+            count_check(self.metrics, verdict)
             if rr.reversible:
                 node.add(ProvenanceNode(kind="check", stamp=rec.stamp,
                                         name=rec.name, verdict=verdict))
@@ -326,10 +333,7 @@ class UndoEngine:
                     t_k.name in TABLE4_ORDER and \
                     t_k.name not in self.registry[rec.name].enables:
                 report.heuristic_skips += 1
-                self.metrics.counter(
-                    "repro_recheck_skips_total",
-                    "candidates pruned before a safety re-check",
-                    reason="table4-heuristic").inc()
+                count_skip(self.metrics, "table4-heuristic")
                 node.add(ProvenanceNode(
                     kind="skip", stamp=t_k.stamp, name=t_k.name,
                     reason="table4-heuristic",
@@ -341,10 +345,7 @@ class UndoEngine:
             if region is not None and not record_in_region(
                     self.program, self.cache, t_k, region, names):
                 report.region_skips += 1
-                self.metrics.counter(
-                    "repro_recheck_skips_total",
-                    "candidates pruned before a safety re-check",
-                    reason="outside-region").inc()
+                count_skip(self.metrics, "outside-region")
                 node.add(ProvenanceNode(
                     kind="skip", stamp=t_k.stamp, name=t_k.name,
                     reason="outside-region",
@@ -358,11 +359,7 @@ class UndoEngine:
                                store=self.store, history=self.history)
             sr = self.registry[t_k.name].check_safety(ctx, t_k)
             verdict = safety_verdict(t_k, sr, triggered_by=rec.stamp)
-            self.metrics.counter(
-                "repro_recheck_total",
-                "safety/reversibility re-checks during undo cascades",
-                check="safety",
-                outcome="ok" if sr.safe else "violation").inc()
+            count_check(self.metrics, verdict)
             node.add(ProvenanceNode(kind="check", stamp=t_k.stamp,
                                     name=t_k.name, verdict=verdict))
             if not sr.safe:

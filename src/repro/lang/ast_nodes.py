@@ -204,20 +204,6 @@ def intern_var(name: str) -> VarRef:
     return e
 
 
-def intern_leaf(e: Expr) -> Expr:
-    """Return the interned equivalent of ``e`` when it is a leaf."""
-    if type(e) is Const:
-        return intern_const(e.value)
-    if type(e) is VarRef:
-        return intern_var(e.name)
-    return e
-
-
-def intern_stats() -> Dict[str, int]:
-    """Current sizes of the leaf intern tables (for benchmarks)."""
-    return {"consts": len(_CONST_INTERN), "vars": len(_VAR_INTERN)}
-
-
 # ---------------------------------------------------------------------------
 # Structural content hashes
 # ---------------------------------------------------------------------------

@@ -27,15 +27,16 @@ Layered so the rest of the system never pays for what it does not use:
   thread walking ``sys._current_frames()`` into span/request-attributed
   collapsed stacks (``flamegraph.pl`` input), behind ``_ prof``,
   ``/pprof``, and ``python -m repro prof``.
-* :mod:`repro.obs.analytics` — decision analytics: a
-  ``command_observers`` callback folding every command's provenance
-  into per-transform counters and histograms (verdicts, cascade depth,
-  collateral fan-out, Table 4 skips, regional-vs-full analysis work).
+* :mod:`repro.obs.provenance` — structured verdicts, the causal
+  provenance tree of each undo, the audit log, and the decision
+  counters the undo engines bump where they decide (re-check verdicts,
+  Table 3 violations, Table 4 / region skips, cascade depth and
+  collateral); the engine counts regional-vs-full analysis work next to
+  its analysis timers.
 
 See docs/OBSERVABILITY.md for the span model and the metric catalog.
 """
 
-from repro.obs.analytics import DecisionAnalytics
 from repro.obs.check import (
     RoundtripReport,
     audit_roundtrip,
@@ -82,7 +83,6 @@ from repro.obs.trace import (
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
-    "DecisionAnalytics",
     "ExpoServer",
     "FlightRecorder",
     "Gauge",

@@ -36,7 +36,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
            "MetricsError", "DEFAULT_BUCKETS", "REGISTRY",
            "ANALYTICS_PREFIXES", "TOTALS_SOURCES",
-           "merge_histogram_docs", "merge_registry_docs", "registry_views",
+           "merge_histogram_docs", "merge_registry_docs", "registry_totals",
+           "registry_views",
            "merge_aggregate_metrics", "aggregate_to_prometheus"]
 
 #: fixed latency buckets in seconds (upper bounds; +Inf is implicit).
@@ -428,10 +429,11 @@ TOTALS_SOURCES = {
     "prof_dropped": "repro_prof_dropped_total",
 }
 
-#: metric-name prefixes of the decision analytics
-#: (:mod:`repro.obs.analytics`), which ``_ metrics`` also shows on
+#: metric-name prefixes of the decision analytics — per-op command
+#: counts and the undo engines' decision counters
+#: (:mod:`repro.obs.provenance`) — which ``_ metrics`` also shows on
 #: their own under ``analytics``.
-ANALYTICS_PREFIXES = ("repro_decision_", "repro_undo_",
+ANALYTICS_PREFIXES = ("repro_commands_", "repro_undo_",
                       "repro_violation_", "repro_analysis_pairs_")
 
 
@@ -505,23 +507,27 @@ def merge_registry_docs(docs: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     return merged
 
 
+def registry_totals(doc: Dict[str, Any]) -> Dict[str, int]:
+    """The ``totals`` view of a :meth:`MetricsRegistry.to_doc` document:
+    each :data:`TOTALS_SOURCES` instrument summed over its labels, as
+    integers (absent instruments read 0)."""
+    return {field: int(sum(s.get("value", 0)
+                           for s in doc.get(name, {}).get("samples", [])))
+            for field, name in TOTALS_SOURCES.items()}
+
+
 def registry_views(doc: Dict[str, Any]) -> Dict[str, Any]:
     """The ``totals``, ``latency`` and ``analytics`` views of a
     :meth:`MetricsRegistry.to_doc` document (one manager's or a merge).
 
-    ``totals`` sums each :data:`TOTALS_SOURCES` instrument over its
-    labels, as integers (absent instruments read 0).  ``latency`` is
+    ``totals`` is :func:`registry_totals`.  ``latency`` is
     ``repro_command_seconds`` merged over its ``op`` label, present once
     any command ran.  ``analytics`` is the :data:`ANALYTICS_PREFIXES`
     subset, present once any analytics instrument exists.
     """
-    def samples(name: str) -> List[Dict[str, Any]]:
-        return doc.get(name, {}).get("samples", [])
-
-    views: Dict[str, Any] = {"totals": {
-        field: int(sum(s.get("value", 0) for s in samples(name)))
-        for field, name in TOTALS_SOURCES.items()}}
-    latencies = [s for s in samples("repro_command_seconds") if s["count"]]
+    views: Dict[str, Any] = {"totals": registry_totals(doc)}
+    latencies = [s for s in doc.get("repro_command_seconds", {}).get(
+        "samples", []) if s["count"]]
     if latencies:
         views["latency"] = merge_histogram_docs(latencies)
     analytics = {name: entry for name, entry in doc.items()
@@ -532,17 +538,20 @@ def registry_views(doc: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def merge_aggregate_metrics(
-        docs: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+        docs: Sequence[Dict[str, Any]],
+        local: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """Merge per-shard ``SessionManager.aggregate_metrics()`` documents.
 
     The session lists concatenate (a session lives on exactly one
     shard, so the union is disjoint), the eviction/reopen counts sum,
-    the registries merge by :func:`merge_registry_docs`, and the
-    ``totals``/``latency``/``analytics`` views are read from the merged
-    registry by :func:`registry_views`.  Served by the sharded router's
-    ``_ metrics`` verb.
+    the registries merge by :func:`merge_registry_docs` — together with
+    ``local``, the merging process's own registry document, which is
+    not a shard — and the ``totals``/``latency``/``analytics`` views
+    are read from the merged registry by :func:`registry_views`.
+    Served by the sharded router's ``_ metrics`` verb.
     """
-    registry = merge_registry_docs([d.get("registry", {}) for d in docs])
+    registry = merge_registry_docs(
+        [d.get("registry", {}) for d in docs] + ([local] if local else []))
     return {"live": sorted(n for d in docs for n in d.get("live", [])),
             "on_disk": sorted(n for d in docs for n in d.get("on_disk", [])),
             "evictions": sum(d.get("evictions", 0) for d in docs),

@@ -38,6 +38,12 @@ the audit log (``audit.jsonl``)
     cross-checks the log against the journal the same way
     ``trace_roundtrip`` checks the span stream.
 
+The decision counters (:func:`count_check`, :func:`count_skip`,
+:func:`count_cascade`) are how the undo engines count those same
+decisions into their metrics registry at the site where each is made,
+so every re-check, violation, skip and cascade is counted exactly once
+— replayed and bare-engine undos included.
+
 This module is deliberately import-light: it duck-types the result and
 report objects it summarizes, so ``obs`` keeps depending on nothing
 above it.
@@ -51,6 +57,8 @@ from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = ["AUDIT_SCHEMA", "AUDIT_FILE", "Verdict", "ProvenanceNode",
            "audit_path", "safety_verdict", "reversibility_verdict",
+           "DEPTH_BUCKETS", "FANOUT_BUCKETS", "count_check", "count_skip",
+           "count_cascade",
            "command_audit", "audit_entry", "read_audit", "entry_trees",
            "stamp_events", "stamp_trees", "explain_doc",
            "render_explanation", "provenance_to_dot"]
@@ -294,6 +302,60 @@ def provenance_to_dot(trees: List[Dict[str, Any]],
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# Decision counters: each decision counted once, where the engine makes it
+# ---------------------------------------------------------------------------
+
+#: buckets for cascade depth and collateral fan-out — small integers,
+#: not latencies (Fibonacci-ish so the tail still resolves).
+DEPTH_BUCKETS = (1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0)
+FANOUT_BUCKETS = (0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0)
+
+
+def count_check(metrics: Any, verdict: Verdict) -> None:
+    """Count one cascade re-check and each violation it found.
+
+    Called at the check site, so a violation is counted once — not
+    again on the ``affecting``/``affected`` undo node that carries the
+    same verdict.
+    """
+    metrics.counter("repro_undo_checks_total",
+                    "cascade re-checks, by check and verdict",
+                    check=verdict.check,
+                    verdict="ok" if verdict.ok else "violated").inc()
+    for violation in verdict.violations:
+        metrics.counter("repro_violation_total",
+                        "disabling-condition violations by stable "
+                        "Table 3 code",
+                        code=violation.get("code") or "unknown").inc()
+
+
+def count_skip(metrics: Any, reason: str) -> None:
+    """Count one candidate the cascade did not re-check."""
+    metrics.counter("repro_undo_skips_total",
+                    "re-checks the cascade skipped, by reason "
+                    "(Table 4 heuristic / outside the region)",
+                    reason=reason).inc()
+
+
+def count_cascade(metrics: Any, root: ProvenanceNode) -> None:
+    """Count one finished (or failed) undo's tree: its ``undo`` nodes
+    by role and its depth (the root is depth 1)."""
+    deepest = 0
+    stack = [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if node.kind == "undo":
+            deepest = max(deepest, depth)
+            metrics.counter("repro_undo_nodes_total",
+                            "provenance undo nodes, by cascade role",
+                            role=node.role or "target").inc()
+        stack.extend((child, depth + 1) for child in node.children)
+    metrics.histogram("repro_undo_cascade_depth",
+                      "provenance tree depth of each undo cascade",
+                      buckets=DEPTH_BUCKETS).observe(deepest)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,9 @@ bad-request: ...`` (the oversized bytes are drained in fixed-size
 chunks, never buffered whole) and invalid UTF-8 gets the same
 normalized error instead of a mangled request — in both cases the
 connection stays up and the next request is served normally.  Rejected
-lines are counted per reason in ``repro_net_bad_lines_total`` and on
-:attr:`NetServer.bad_lines`.
+lines are counted per reason in ``repro_net_bad_lines_total`` — in the
+front's registry, so its ``_ metrics`` and ``/metrics`` serve them —
+and on :attr:`NetServer.bad_lines`.
 
 :class:`LineClient` is the matching client: blocking, one in-flight
 request, safe to use from one thread at a time — tests, benchmarks, and
@@ -40,7 +41,6 @@ import socketserver
 import threading
 from typing import Optional, Tuple
 
-from repro.obs.metrics import REGISTRY
 from repro.service.server import error_reply, write_reply
 
 #: responses are terminated by this line, mirroring the stdio server.
@@ -133,8 +133,9 @@ class _Server(socketserver.ThreadingTCPServer):
 class NetServer:
     """Serve one ``handle_line`` front to many TCP clients.
 
-    ``front`` is anything with ``handle_line``/``close`` — the
-    in-process server or the sharded router.  Binding happens in the
+    ``front`` is a :class:`~repro.service.server.Front` — the
+    in-process server or the sharded router; rejected lines count into
+    its ``registry``.  Binding happens in the
     constructor (port 0 picks a free port; read it back from
     :attr:`address`), serving in :meth:`serve_forever`.
     """
@@ -154,7 +155,7 @@ class NetServer:
         """Count one rejected request line; returns the error reply."""
         with self._bad_lock:
             self.bad_lines += 1
-        REGISTRY.counter(
+        self.front.registry.counter(
             "repro_net_bad_lines_total",
             "request lines rejected before dispatch",
             reason=reason).inc()

@@ -31,7 +31,8 @@ Verbs::
     <s> snapshot           cut a snapshot now
     _ sessions             list sessions (no target session)
     _ stats                manager stats
-    _ metrics              aggregate persistence totals across sessions
+    _ metrics [totals]     aggregate persistence totals across sessions
+                           (``totals``: only the totals view)
     _ slow [n]             newest [n] slow-request entries (JSON array)
     _ slo                  rolling-window SLO report (JSON)
     _ prof start [hz]      open a fresh sampling-profiler window
@@ -60,6 +61,7 @@ from repro.core.commands import CommandError, parse_batch, parse_verb
 from repro.core.undo import UndoError
 from repro.lang.parser import ParseError
 from repro.obs.check import audit_roundtrip
+from repro.obs.metrics import registry_totals
 from repro.obs.profiler import Profiler
 from repro.obs.slo import SloTracker
 from repro.obs.slowlog import SlowLog
@@ -176,7 +178,9 @@ class Front:
     (:class:`repro.service.shard.ShardRouter`) both serve the protocol
     through :meth:`handle_line`, which times every request into the
     ``requests`` / ``errors`` / ``deadline_exceeded`` counters, a
-    rolling-window :class:`~repro.obs.slo.SloTracker` (``_ slo``) and,
+    rolling-window :class:`~repro.obs.slo.SloTracker` (``_ slo``; none
+    when ``slo_window_s`` is ``None``, as in shard workers, whose
+    router keeps the fleet's window) and,
     past ``slow_ms``, a :class:`~repro.obs.slowlog.SlowLog` entry
     (``_ slow``) carrying the latency breakdown the session layer
     accumulated onto the request context.  A reply later than the
@@ -192,8 +196,8 @@ class Front:
     mode = ""
 
     def __init__(self, registry, *, slow_ms: Optional[float],
-                 deadline_ms: Optional[float], slo_window_s: float,
-                 layer: str):
+                 deadline_ms: Optional[float],
+                 slo_window_s: Optional[float], layer: str):
         self.registry = registry
         self.requests = 0
         self.errors = 0
@@ -202,7 +206,8 @@ class Front:
         self.deadline_exceeded = 0
         self.slowlog = SlowLog(
             threshold_s=None if slow_ms is None else slow_ms / 1e3)
-        self.slo = SloTracker(slo_window_s)
+        self.slo = SloTracker(slo_window_s) \
+            if slo_window_s is not None else None
         #: the process sampling profiler behind ``_ prof`` / ``/pprof``;
         #: idle until started, so attaching it is free.
         self.profiler = Profiler(hz=100.0)
@@ -262,7 +267,8 @@ class Front:
             self.registry.counter(
                 "repro_deadline_exceeded_total",
                 "requests that blew their deadline budget").inc()
-        self.slo.record(duration_s, ok, deadline_exceeded=exceeded)
+        if self.slo is not None:
+            self.slo.record(duration_s, ok, deadline_exceeded=exceeded)
         ctx = current_request()
         self.slowlog.observe(line, duration_s, ok=ok, layer=self.layer,
                              request=ctx.get("request"),
@@ -277,6 +283,9 @@ class Front:
     def _front_verb(self, verb: str, args: List[str]) -> str:
         """The ``_ slo`` / ``_ slow [n]`` / ``_ prof ...`` verbs."""
         if verb == "slo":
+            if self.slo is None:
+                return error_reply("bad-request",
+                                   "this front keeps no SLO window")
             return json.dumps(self.slo.report(), sort_keys=True)
         if verb == "slow":
             return self._slow(int(args[0]) if args else None)
@@ -316,6 +325,14 @@ class Front:
     #
     # the surface repro.obs.expo.ExpoServer serves over HTTP, together
     # with each front's own ``expo_metrics_doc``.
+
+    def _note_profiler(self) -> None:
+        """Set ``registry``'s ``repro_prof_samples`` gauge from this
+        front's profiler, before its registry is read."""
+        self.registry.gauge(
+            "repro_prof_samples",
+            "samples the front's profiler folded so far").set(
+                self.profiler.samples)
 
     def expo_pprof(self, seconds: float = 1.0,
                    hz: Optional[float] = None) -> str:
@@ -383,7 +400,7 @@ class SessionServer(Front):
     def __init__(self, manager: SessionManager, *,
                  slow_ms: Optional[float] = 250.0,
                  deadline_ms: Optional[float] = None,
-                 slo_window_s: float = 300.0,
+                 slo_window_s: Optional[float] = 300.0,
                  layer: str = "server"):
         super().__init__(manager.metrics_registry, slow_ms=slow_ms,
                          deadline_ms=deadline_ms,
@@ -399,8 +416,13 @@ class SessionServer(Front):
         if verb == "stats":
             return json.dumps(self.manager.stats(), sort_keys=True)
         if verb == "metrics" and name == "_":
-            # manager-level aggregate; "<s> metrics" below stays
+            # manager-level aggregate, or just its totals view (what the
+            # router's /healthz reads); "<s> metrics" below stays
             # per-session
+            if args[:1] == ["totals"]:
+                self._note_profiler()
+                return json.dumps(registry_totals(self.registry.to_doc()),
+                                  sort_keys=True)
             return json.dumps(self.expo_metrics_doc(), sort_keys=True)
         if verb in FRONT_VERBS and name == "_":
             return self._front_verb(verb, args)
@@ -477,17 +499,15 @@ class SessionServer(Front):
         """The ``_ metrics`` document: the manager's aggregate.
 
         The front's own instruments share the manager's registry, so
-        the profiler's drop counter is already in it; its sample count
-        is set as the ``repro_prof_samples`` gauge first.  Together with
-        the span drops, every observability loss channel
-        (flight-recorder rings, profiler ticks) is countable from one
-        document, and sums across shards in
+        the profiler's drop counter and the TCP edge's rejected-line
+        counter are already in it; the profiler's sample count is set
+        as the ``repro_prof_samples`` gauge first.  Together with the
+        span drops, every observability loss channel (flight-recorder
+        rings, profiler ticks) is countable from one document, and sums
+        across shards in
         :func:`repro.obs.metrics.merge_aggregate_metrics`.
         """
-        self.registry.gauge(
-            "repro_prof_samples",
-            "samples the front's profiler folded so far").set(
-                self.profiler.samples)
+        self._note_profiler()
         return self.manager.aggregate_metrics()
 
     def _health_detail(self) -> Dict[str, Any]:

@@ -46,7 +46,6 @@ from repro.edit.invalidate import InvalidationStats, remove_unsafe
 from repro.lang.ast_nodes import ROOT_SID, Expr, ExprPath, Stmt
 from repro.lang.parser import parse_program
 from repro.core.locations import Location
-from repro.obs.analytics import DecisionAnalytics
 from repro.obs.check import trace_path
 from repro.obs.metrics import Histogram, MetricsRegistry, registry_views
 from repro.obs.provenance import audit_entry, audit_path
@@ -583,8 +582,6 @@ class SessionManager:
         #: :meth:`aggregate_metrics` reads nothing else.
         self.metrics_registry = metrics if metrics is not None \
             else MetricsRegistry()
-        #: decision analytics shared by every engine this manager opens.
-        self.analytics = DecisionAnalytics(registry=self.metrics_registry)
         self._lock = threading.Lock()
         #: name -> (session, per-session lock); LRU order, oldest first.
         self._live: "OrderedDict[str, Tuple[DurableSession, threading.RLock]]" \
@@ -610,7 +607,6 @@ class SessionManager:
                 snapshot_every=self.snapshot_every,
                 fsync_every=self.fsync_every,
                 metrics=self.metrics_registry)
-            self.analytics.attach(session.engine)
             self._live[name] = (session, threading.RLock())
             self._evict_idle_locked(keep=name)
 
@@ -625,7 +621,6 @@ class SessionManager:
                 raise SessionError(f"no session named {name!r}")
             session = DurableSession.open(dirpath, strategy=self.strategy,
                                           metrics=self.metrics_registry)
-            self.analytics.attach(session.engine)
             self.reopens += 1
             self._live[name] = (session, threading.RLock())
             self._evict_idle_locked(keep=name)

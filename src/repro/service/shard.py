@@ -24,11 +24,12 @@ programs discipline, mapped onto processes).  The design:
   it forwards each request to its shard and streams the response back,
   fanning ``_ sessions`` / ``_ stats`` / ``_ metrics`` / ``_ slow`` /
   ``_ prof`` out to every shard and merging the answers (each worker
-  manager's metrics registry merged by
+  manager's metrics registry merged with the router's own by
   :func:`repro.obs.metrics.merge_aggregate_metrics` — counters summed,
   histograms merged bucket-wise — slow logs by wall clock, collapsed
   profiler stacks summed line-wise by
-  :func:`repro.obs.profiler.merge_folded`).
+  :func:`repro.obs.profiler.merge_folded`).  The router answers
+  ``_ slo`` itself, so workers keep no SLO window.
 * **Worker death is detected, reported, and repaired.**  A request to a
   dead worker gets a clear ``error: shard: ...`` reply (never a hang);
   the router restarts the worker, and the shard's sessions recover on
@@ -52,7 +53,11 @@ from multiprocessing.connection import Connection, wait as _pipe_wait
 from threading import Lock
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import REGISTRY, merge_aggregate_metrics
+from repro.obs.metrics import (
+    MetricsRegistry,
+    merge_aggregate_metrics,
+    registry_totals,
+)
 from repro.obs.profiler import merge_folded
 from repro.obs.slowlog import SlowLog
 from repro.obs.trace import Tracer, current_request, request_context
@@ -125,7 +130,10 @@ def worker_main(conn: Connection, root: str,
     from repro.service.session import SessionManager
 
     manager = SessionManager(root, **(manager_kwargs or {}))
-    server = SessionServer(manager, **(server_kwargs or {}))
+    # the router answers ``_ slo`` for the fleet; no client reads a
+    # worker's window, so the worker keeps none
+    server = SessionServer(manager, slo_window_s=None,
+                           **(server_kwargs or {}))
     try:
         while True:
             try:
@@ -256,15 +264,18 @@ class ShardRouter(Front):
     ``handle_line`` object is expected (the stdio loop, the TCP server,
     the tests), and observed by the same shared
     :class:`~repro.service.server.Front` code: every TCP request passes
-    here, so the router's SLO window IS the fleet view.  Per-session
-    requests forward to the session's shard under a ``route`` span,
-    manager-level ``_`` verbs aggregate across every shard, and the
-    extra ``_ shards`` verb reports worker liveness without a round
-    trip.  Workers run their own slow logs at the same threshold and
-    ``_ slow`` merges all of them.  ``manager_kwargs`` are forwarded to
-    every shard's :class:`~repro.service.session.SessionManager`
-    (``max_live``, ``snapshot_every``, ``fsync_every``) and must stay
-    identical across restarts, so they are fixed at construction.
+    here, so the router's SLO window IS the fleet view.  Its own
+    instruments (deadline, profiler-drop and rejected-line counters)
+    live in a private registry merged into the fleet ``_ metrics``.
+    Per-session requests forward to the session's shard under a
+    ``route`` span, manager-level ``_`` verbs aggregate across every
+    shard, and the extra ``_ shards`` verb reports worker liveness
+    without a round trip.  Workers run their own slow logs at the same
+    threshold and ``_ slow`` merges all of them.  ``manager_kwargs``
+    are forwarded to every shard's
+    :class:`~repro.service.session.SessionManager` (``max_live``,
+    ``snapshot_every``, ``fsync_every``) and must stay identical across
+    restarts, so they are fixed at construction.
     """
 
     mode = "sharded"
@@ -280,7 +291,8 @@ class ShardRouter(Front):
                  slo_window_s: float = 300.0):
         if nshards < 1:
             raise ValueError("nshards must be >= 1")
-        super().__init__(REGISTRY, slow_ms=slow_ms, deadline_ms=deadline_ms,
+        super().__init__(MetricsRegistry(), slow_ms=slow_ms,
+                         deadline_ms=deadline_ms,
                          slo_window_s=slo_window_s, layer="router")
         self.root = root
         self.nshards = nshards
@@ -320,7 +332,7 @@ class ShardRouter(Front):
                 out = self._front_verb(verb, parts[2:])
                 span.tag(kind="local" if verb == "slo" else "fanout")
             elif target == "_" and verb in AGGREGATE_VERBS:
-                out = self._aggregate(verb)
+                out = self._aggregate(verb, parts[2:])
                 span.tag(kind="fanout")
             else:
                 shard = shard_index(target, self.nshards)
@@ -382,14 +394,14 @@ class ShardRouter(Front):
                 out)
         return answers, failures
 
-    def _aggregate(self, verb: str) -> str:
+    def _aggregate(self, verb: str, args: List[str]) -> str:
         """Fan one ``_`` verb out to every shard and merge the answers.
 
         A shard that fails to answer fails the whole aggregate loudly —
         a silently partial total would read as "traffic dropped", which
         is worse than an error.
         """
-        answers, failures = self._fanout(f"_ {verb}")
+        answers, failures = self._fanout(" ".join(["_", verb, *args]))
         if failures:
             return failures[0]
         if verb == "sessions":
@@ -399,7 +411,8 @@ class ShardRouter(Front):
             return " ".join(names) or "(none)"
         docs = [json.loads(out) for out in answers]
         if verb == "metrics":
-            return json.dumps(merge_aggregate_metrics(docs), sort_keys=True)
+            return json.dumps(self._fleet_metrics(docs, args),
+                              sort_keys=True)
         # stats: summed counters, concatenated session lists, and the
         # untouched per-shard documents for drill-down
         merged = {
@@ -445,9 +458,21 @@ class ShardRouter(Front):
         dumps = [out for out in (*answers, local) if out != NO_SAMPLES]
         return merge_folded(dumps) or NO_SAMPLES
 
-    def shard_metrics(self) -> List[Dict[str, Any]]:
-        """Per-shard ``aggregate_metrics`` documents (test/ops surface)."""
-        answers, failures = self._fanout("_ metrics")
+    def _fleet_metrics(self, docs: List[Dict[str, Any]],
+                       args: List[str]) -> Dict[str, Any]:
+        """Merge the workers' ``_ metrics [totals]`` answers with the
+        router's own registry (its profiler gauge set first)."""
+        self._note_profiler()
+        local = self.registry.to_doc()
+        if args[:1] == ["totals"]:
+            return {field: value + sum(doc[field] for doc in docs)
+                    for field, value in registry_totals(local).items()}
+        return merge_aggregate_metrics(docs, local=local)
+
+    def shard_metrics(self, *args: str) -> List[Dict[str, Any]]:
+        """Per-shard ``_ metrics [args]`` answers: ``aggregate_metrics``
+        documents, or their ``totals`` views (test/ops surface)."""
+        answers, failures = self._fanout(" ".join(["_", "metrics", *args]))
         if failures:
             raise ShardError(failures[0])
         return [json.loads(out) for out in answers]
@@ -466,23 +491,25 @@ class ShardRouter(Front):
 
     def expo_metrics_doc(self) -> Dict[str, Any]:
         """The fleet-merged metrics document behind ``/metrics``."""
-        return merge_aggregate_metrics(self.shard_metrics())
+        return self._fleet_metrics(self.shard_metrics(), [])
 
     def _health_detail(self) -> Dict[str, Any]:
         """Worker liveness plus journal lag for ``/healthz``.
 
-        ``ok`` (every worker alive, and the fleet metrics document
-        assembled) decides the HTTP status; the lag is reported, not
-        judged.  The journal block compares fleet-wide committed
-        commands against journal records actually written — a lag means
-        a session was poisoned after committing a command its journal
-        did not record; surfacing the number is how an operator sees it.
+        ``ok`` (every worker alive, and the fleet totals assembled)
+        decides the HTTP status; the lag is reported, not judged.  The
+        journal block compares fleet-wide committed commands against
+        journal records actually written — a lag means a session was
+        poisoned after committing a command its journal did not record;
+        surfacing the number is how an operator sees it.  Workers send
+        only their ``totals`` view, not their whole registries.
         """
         status = self.shard_status()
         doc: Dict[str, Any] = {
             "ok": all(w["alive"] for w in status["workers"]), **status}
         try:
-            totals = self.expo_metrics_doc()["totals"]
+            totals = self._fleet_metrics(self.shard_metrics("totals"),
+                                         ["totals"])
             commands = totals.get("commands", 0)
             records = totals.get("journal_records_written", 0)
             doc["journal"] = {"commands": commands, "records": records,

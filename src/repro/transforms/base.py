@@ -402,35 +402,6 @@ def subtree_touched_after(program: Program, store: AnnotationStore,
     return None
 
 
-def inserted_into_after(program: Program, store: AnnotationStore,
-                        container: Tuple[int, str], stamp: int,
-                        exclude: Set[int]) -> Optional[Violation]:
-    """Did a later action place a statement into the container?
-
-    This is how loop interchange discovers that invariant code motion
-    broke its "tight loops" post pattern (§5.2): the moved statement now
-    sitting between the loops carries an ``mv`` annotation with a later
-    stamp.
-    """
-    if not program.container_alive(container):
-        return None
-    for member in program.container_list(container):
-        if member.sid in exclude:
-            continue
-        anns = [a for a in store.for_sid(member.sid)
-                if a.stamp > stamp and a.kind in ("mv", "add", "cp")]
-        if anns:
-            a = min(anns, key=lambda x: x.stamp)
-            return Violation(
-                f"statement S{member.sid} entered the container after t{stamp}",
-                action_id=a.action_id, stamp=a.stamp, code="post.intruder",
-                witness={"sid": member.sid, "annotation": a.kind})
-        # a statement present with no annotation entered via an edit or
-        # was always there; the caller decides whether presence alone is
-        # a violation.
-    return None
-
-
 def unexplained_occupant(program: Program, store: AnnotationStore,
                          container: Tuple[int, str], stamp: int,
                          exclude: Set[int]) -> Optional[int]:

@@ -43,7 +43,6 @@ from repro.obs.collector import (
 )
 from repro.obs.expo import ExpoServer
 from repro.obs.metrics import (
-    REGISTRY,
     TOTALS_SOURCES,
     MetricsRegistry,
     aggregate_to_prometheus,
@@ -60,7 +59,7 @@ from repro.obs.trace import (
     new_request_id,
     request_context,
 )
-from repro.service.netserver import MAX_LINE_BYTES, NetServer
+from repro.service.netserver import MAX_LINE_BYTES, LineClient, NetServer
 from repro.service.server import DEADLINE_FLAG, SessionServer
 from repro.service.session import SessionManager
 from repro.service.shard import ShardRouter, router_trace_path, shard_index
@@ -608,6 +607,29 @@ class TestExpo:
         assert "repro_fleet_commands 4.0" in body
         assert "repro_fleet_reopens_total 1.0" in body
 
+    @pytest.mark.parametrize("shards", [0, 2],
+                             ids=["single-process", "fleet"])
+    def test_rejected_lines_are_served_on_metrics(self, tmp_path, shards):
+        """A line the TCP edge rejects is counted where ``/metrics``
+        reads: the single-process front's registry, or the router's,
+        which the fleet document merges with the workers'."""
+        root = str(tmp_path / "root")
+        front = ShardRouter(root, shards) if shards else \
+            SessionServer(SessionManager(root))
+        net = NetServer(front)
+        net.serve_in_thread()
+        try:
+            with LineClient(*net.address) as client:
+                out = client.request("a init " + "x" * (MAX_LINE_BYTES + 1))
+                assert out.startswith("error: bad-request:"), out
+            with ExpoServer(front) as expo:
+                host, port = expo.address
+                status, body = _get(f"http://{host}:{port}/metrics")
+        finally:
+            net.shutdown()
+        assert status == 200
+        assert 'repro_net_bad_lines_total{reason="oversized"} 1.0' in body
+
     def test_unhealthy_front_answers_503(self):
         class Front:
             def expo_health(self):
@@ -874,7 +896,8 @@ class TestNetHardening:
 
     def test_oversized_line_is_rejected_connection_survives(self, served):
         net, prog = served
-        before = REGISTRY.total("repro_net_bad_lines_total")
+        registry = net.front.registry
+        before = registry.total("repro_net_bad_lines_total")
         sock = self._raw(net)
         fh = sock.makefile("r", encoding="utf-8", newline="\n")
         try:
@@ -889,7 +912,7 @@ class TestNetHardening:
         finally:
             sock.close()
         assert net.bad_lines == 1
-        assert REGISTRY.total("repro_net_bad_lines_total") == before + 1
+        assert registry.total("repro_net_bad_lines_total") == before + 1
 
     def test_invalid_utf8_is_rejected_connection_survives(self, served):
         net, prog = served

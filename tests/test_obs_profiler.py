@@ -9,10 +9,11 @@ Pins the continuous-profiling PR's contracts:
 * the folded-stack wire format (``parse_folded`` / ``render_folded`` /
   ``merge_folded``) the sharded router merges per-worker dumps with;
 * the command-latency exemplars the engine records per request;
-* :class:`repro.obs.analytics.DecisionAnalytics` — per-transform
-  decision counters fed from ``command_observers``, and their trip
-  through the cross-shard registry document (``registry_views`` /
-  ``merge_registry_docs`` / ``MetricsRegistry.from_doc``).
+* the decision counters the engine bumps where it decides (per-op
+  commands, undo nodes, cascade depth and collateral, analysis pairs),
+  and their trip through the cross-shard registry document
+  (``registry_views`` / ``merge_registry_docs`` /
+  ``MetricsRegistry.from_doc``).
 """
 
 import json
@@ -24,7 +25,6 @@ import pytest
 from repro.core.commands import ApplyCommand, UndoCommand
 from repro.core.engine import TransformationEngine
 from repro.lang.parser import parse_program
-from repro.obs.analytics import DecisionAnalytics
 from repro.obs.metrics import (
     MetricsError,
     MetricsRegistry,
@@ -258,8 +258,7 @@ class TestDecisionAnalytics:
 
         engine = TransformationEngine(
             generate_program(7, GeneratorConfig(blocks=4)),
-            metrics=MetricsRegistry())
-        DecisionAnalytics(registry=registry).attach(engine)
+            metrics=registry)
         applied = apply_greedy(engine, 6, seed=8)
         engine.execute(UndoCommand(stamp=applied[0]))
         return engine
@@ -267,9 +266,9 @@ class TestDecisionAnalytics:
     def test_commands_and_undo_decisions_counted(self):
         registry = MetricsRegistry()
         self.run_workload(registry)
-        assert registry.value("repro_decision_commands_total",
+        assert registry.value("repro_commands_total",
                               op="apply", status="ok") >= 1
-        assert registry.value("repro_decision_commands_total",
+        assert registry.value("repro_commands_total",
                               op="undo", status="ok") == 1
         # the undo's provenance produced target nodes and a depth sample
         assert registry.value("repro_undo_nodes_total", role="target") >= 1
@@ -283,23 +282,24 @@ class TestDecisionAnalytics:
 
     def test_failed_commands_counted_as_failed(self):
         # undoing an already-undone stamp raises UndoError, which is in
-        # UndoCommand.failure_types — the engine journals the command
-        # failed and still notifies observers
+        # UndoCommand.failure_types — the engine counts the command
+        # failed, and its one-node tree as a cascade
         registry = MetricsRegistry()
         engine = self.run_workload(registry)
         # run_workload already undid stamp 1 (the first apply)
         assert not engine.history.by_stamp(1).active
         with pytest.raises(Exception):
             engine.execute(UndoCommand(stamp=1))
-        assert registry.value("repro_decision_commands_total",
+        assert registry.value("repro_commands_total",
                               op="undo", status="failed") == 1
+        assert registry.histogram("repro_undo_cascade_depth").count == 2
 
     def test_analytics_doc_filters_to_analytics_prefixes(self):
         registry = MetricsRegistry()
         self.run_workload(registry)
         registry.counter("repro_other_total").inc()
         doc = registry_views(registry.to_doc())["analytics"]
-        assert "repro_decision_commands_total" in doc
+        assert "repro_commands_total" in doc
         assert "repro_other_total" not in doc
         assert json.loads(json.dumps(doc)) == doc
 
@@ -309,7 +309,7 @@ class TestDecisionAnalytics:
         self.run_workload(r2)
         merged = merge_registry_docs([r1.to_doc(), r2.to_doc()])
         rebuilt = MetricsRegistry.from_doc(merged)
-        assert rebuilt.value("repro_decision_commands_total",
+        assert rebuilt.value("repro_commands_total",
                              op="undo", status="ok") == 2
         assert rebuilt.histogram("repro_undo_cascade_depth").count == 2
         # rendered through the ordinary exposition path
@@ -332,16 +332,28 @@ class TestDecisionAnalytics:
     def test_batch_members_counted_once_each(self):
         from repro.core.commands import BatchCommand
 
+        from repro.workloads.generator import (
+            GeneratorConfig,
+            generate_program,
+        )
+
         registry = MetricsRegistry()
-        engine = TransformationEngine(parse_program(SRC),
-                                      metrics=MetricsRegistry())
-        analytics = DecisionAnalytics(registry=registry).attach(engine)
+        engine = TransformationEngine(
+            generate_program(7, GeneratorConfig(blocks=4)),
+            metrics=registry)
+        engine.find_all()  # materialize analyses the undo then patches
         opp = engine.find("ctp")[0]
         batch = BatchCommand(
-            commands=[ApplyCommand.from_opportunity(opp)])
+            commands=[ApplyCommand.from_opportunity(opp),
+                      UndoCommand(stamp=1)])
         engine.execute(batch)
-        assert analytics.commands == 1  # one top-level command observed
-        assert registry.value("repro_decision_commands_total",
+        # the batch's work is its members' sum: their pairs count once
+        pairs = sum(sub.work.get("dependence_pairs", 0) +
+                    sub.work.get("incremental_pairs", 0)
+                    for sub in batch.commands)
+        assert pairs > 0
+        assert registry.total("repro_analysis_pairs_total") == pairs
+        assert registry.value("repro_commands_total",
                               op="batch", status="ok") == 1
-        assert registry.value("repro_decision_commands_total",
+        assert registry.value("repro_commands_total",
                               op="apply", status="ok") == 1

@@ -213,7 +213,7 @@ class TestTable4Skip:
         engine.execute(ApplyCommand.from_opportunity(engine.find("dce")[0]))
         engine.execute(ApplyCommand.from_opportunity(engine.find("cfo")[0]))
         engine.undo(1)
-        assert reg.value("repro_recheck_skips_total",
+        assert reg.value("repro_undo_skips_total",
                          reason="table4-heuristic") == 1
 
 
@@ -225,14 +225,14 @@ class TestRecheckMetrics:
             engine.execute(
                 ApplyCommand.from_opportunity(engine.find(name)[0]))
         engine.undo(1)
-        assert reg.value("repro_recheck_total", check="reversibility",
-                         outcome="violation") == 1
+        assert reg.value("repro_undo_checks_total", check="reversibility",
+                         verdict="violated") == 1
         # t2's check, t1's re-check, t3's check inside the affected undo
-        assert reg.value("repro_recheck_total", check="reversibility",
-                         outcome="ok") == 3
-        assert reg.value("repro_recheck_total", check="safety",
-                         outcome="violation") == 1
-        assert reg.value("repro_recheck_skips_total",
+        assert reg.value("repro_undo_checks_total", check="reversibility",
+                         verdict="ok") == 3
+        assert reg.value("repro_undo_checks_total", check="safety",
+                         verdict="violated") == 1
+        assert reg.value("repro_undo_skips_total",
                          reason="outside-region") == 1
 
 

@@ -613,9 +613,9 @@ class TestRecoveredEngineWiring:
         engine = result.engine
         report = engine.undo(1)
         assert report.safety_checks + report.reversibility_checks > 0
-        assert reg.total("repro_recheck_total") == \
+        assert reg.total("repro_undo_checks_total") == \
             report.safety_checks + report.reversibility_checks
-        assert reg.total("repro_recheck_skips_total") == \
+        assert reg.total("repro_undo_skips_total") == \
             report.heuristic_skips + report.region_skips
         assert engine.tracer.recorder.drop_counter is \
             reg.counter("repro_trace_dropped_total")

@@ -191,6 +191,18 @@ class TestAggregation:
                 sum(doc["totals"][field] for doc in shards), field
         assert merged["totals"]["commands"] > 0
 
+    def test_totals_verb_is_the_metrics_totals_view(self, router):
+        merged = json.loads(router.handle_line("_ metrics"))
+        assert json.loads(router.handle_line("_ metrics totals")) == \
+            merged["totals"]
+        assert [doc for doc in router.shard_metrics("totals")] == \
+            [doc["totals"] for doc in router.shard_metrics()]
+
+    def test_router_answers_slo_and_workers_keep_no_window(self, router):
+        assert json.loads(router.handle_line("_ slo"))["requests"] > 0
+        out = router._request(router.workers[0], "_ slo")
+        assert out == "error: bad-request: this front keeps no SLO window"
+
     def test_merged_latency_counts_every_command(self, router):
         merged = json.loads(router.handle_line("_ metrics"))
         shards = router.shard_metrics()
