@@ -236,10 +236,12 @@ class TransformationEngine:
                 raise surfaced from exc
             command.work = WorkCounters.delta(
                 before, self.cache.counters.snapshot())
-            span.tag(stamp=getattr(command, "stamp", None), status="ok")
+            # a batch returns rather than raises when a member fails
+            status = "failed" if command.failed else "ok"
+            span.tag(stamp=getattr(command, "stamp", None), status=status)
             self._notify(command)
             self._record_command(command, time.perf_counter() - started,
-                                 "ok")
+                                 status)
             return result
 
     def execute_batch(self, commands: Sequence[Command]) -> BatchResult:

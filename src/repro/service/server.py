@@ -365,7 +365,7 @@ class Front:
     def expo_varz(self) -> Dict[str, Any]:
         """The ``/varz`` document: everything an operator drills into."""
         return {"health": self.expo_health(),
-                "slo": self.slo.report(),
+                "slo": self.slo.report() if self.slo else None,
                 "slow": self.slowlog.entries(32),
                 "profiler": {"running": self.profiler.running,
                              "hz": self.profiler.hz,

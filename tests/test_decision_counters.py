@@ -164,8 +164,8 @@ def test_engine_counters_equal_the_provenance_walk():
         ref = walk.registry.to_doc()
         for name in SHARED_FAMILIES:
             assert _samples(doc, name) == _samples(ref, name), name
-        assert walk.registry.total("repro_decision_commands_total") == \
-            sum(_samples(doc, "repro_commands_total").values())
+        assert _samples(ref, "repro_decision_commands_total") == \
+            _samples(doc, "repro_commands_total")
         engine_violations = sum(
             _samples(doc, "repro_violation_total").values())
         assert engine_violations == walk.check_violations
@@ -184,9 +184,9 @@ def test_engine_counters_equal_the_provenance_walk():
     assert walked("repro_decision_commands_total", op="undo",
                   status="failed") > 0
     assert walked("repro_decision_commands_total", op="batch",
-                  status="ok") + \
-        walked("repro_decision_commands_total", op="batch",
-               status="failed") > 0
+                  status="ok") > 0
+    assert walked("repro_decision_commands_total", op="batch",
+                  status="failed") > 0
 
 
 def test_served_engine_has_one_observer(tmp_path):

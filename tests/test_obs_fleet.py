@@ -532,6 +532,14 @@ class TestRouterForensics(TestServerForensics):
     FRONT = "router"
 
 
+def test_front_without_slo_window_still_serves_varz(make_front):
+    # shard workers keep no window; their forensics documents still build
+    srv = make_front(slo_window_s=None)
+    assert srv.handle_line(f"a init {srv.prog}") == "created a"
+    assert srv.expo_varz()["slo"] is None
+    assert "keeps no SLO window" in srv.handle_line("_ slo")
+
+
 def _folded_samples(folded):
     """Total sample count of a collapsed-stack profile."""
     return sum(int(line.rpartition(" ")[2])
