@@ -35,10 +35,18 @@ incremental structures:
    bitsets and decodes a statement's frozenset on first read.  Measured:
    ms per run, reading nothing vs decoding every statement's facts (the
    eager conversion it replaced).
+6. **Explain index.**  A durable session keeps each active stamp's
+   audit events, folded in as each entry is written, so ``explain``
+   reads one stamp's rows instead of re-reading and re-walking the whole
+   ``audit.jsonl``.  Measured on a ``blocks=24`` session run through
+   large-cascade's refill/undo-oldest loop, at ~100/300/600 commands:
+   the audit part of ``explain`` from the index vs from the file, the
+   fold's cost per undo entry, and the provenance bytes by node kind.
 
 All tables print with ``pytest benchmarks/bench_e10_compact.py -s``.
 """
 
+import json
 import os
 import time
 
@@ -52,6 +60,12 @@ from repro.core.locations import make_sibling_orderer
 from repro.core.undo import UndoError
 from repro.lang.ast_nodes import Loop
 from repro.lang.printer import format_program
+from repro.obs.provenance import (
+    audit_path,
+    entry_trees,
+    read_audit,
+    stamp_events,
+)
 from repro.service import session as session_mod
 from repro.service.fingerprint import FingerprintMaintainer
 from repro.service.serde import engine_to_doc, state_fingerprint
@@ -76,6 +90,8 @@ ORDERER_HISTORIES = scaled([40, 120, 240])
 ORDERER_CYCLES = 5
 #: dataflow decode: programs (``blocks=24``) analysed per mode.
 DATAFLOW_PROGRAMS = 4 if quick() else 12
+#: explain index: session lengths (commands) measured.
+EXPLAIN_LENGTHS = scaled([100, 300, 600])
 
 
 def _timed(fn):
@@ -349,3 +365,105 @@ def test_e10_dataflow_decode():
     t.show()
     REPORT.value("dataflow_lazy_ms", round(1e3 * lazy_s / n, 3))
     REPORT.value("dataflow_eager_ms", round(1e3 * eager_s / n, 3))
+
+
+# ---------------------------------------------------------------------------
+# 6. explain: one active stamp's indexed rows vs the whole audit file
+# ---------------------------------------------------------------------------
+
+
+def node_bytes(entries):
+    """(nodes, bytes) per provenance node kind over audit entries; a
+    node's bytes are its own JSON, children excluded."""
+    out = {}
+    for entry in entries:
+        stack = list(entry_trees(entry))
+        while stack:
+            node = stack.pop()
+            stack.extend(node.get("children", ()))
+            own = {k: v for k, v in node.items() if k != "children"}
+            nodes, size = out.get(node["kind"], (0, 0))
+            out[node["kind"]] = (nodes + 1,
+                                 size + len(json.dumps(own, sort_keys=True)))
+    return out
+
+
+def test_e10_explain_index(tmp_path):
+    banner("E10 — explain: one active stamp's indexed audit rows vs "
+           "re-reading audit.jsonl")
+    source = format_program(
+        generate_program(SEED, GeneratorConfig(blocks=24)))
+    session = DurableSession.create(str(tmp_path / "s"), source,
+                                    snapshot_every=0)
+    engine = session.engine
+    rng = np.random.default_rng(SEED)
+    state = {"next": 0}
+    cascade_refill(engine, rng, 40, state)
+    session.explain_events(engine.history.active()[0].stamp)  # build
+    folds = []
+    index_events = session._index_events
+
+    def timed_fold(entry):
+        start = time.perf_counter()
+        index_events(entry)
+        if entry["op"] == "undo":
+            folds.append(time.perf_counter() - start)
+
+    session._index_events = timed_fold
+    t = REPORT.table(
+        ["commands", "audit bytes", "index rows", "index bytes",
+         "explain index", "explain file", "speedup"],
+        title="E10 — audit part of explain by session length "
+              "(blocks=24, median over the active stamps)")
+    path = audit_path(session.dirpath)
+    rows = []
+    for length in EXPLAIN_LENGTHS:
+        while session.seq < length:
+            cascade_refill(engine, rng, 41, state)
+            try:
+                engine.undo(engine.history.active()[0].stamp)
+            except UndoError:
+                pass
+        index_s, file_s = [], []
+        for rec in engine.history.active():
+            got, dt = _timed(lambda: session.explain_events(rec.stamp))
+            index_s.append(dt)
+            want, dt = _timed(lambda: stamp_events(read_audit(path),
+                                                   rec.stamp))
+            file_s.append(dt)
+            assert got == want
+        index_ms = float(np.median(index_s))
+        file_ms = float(np.median(file_s))
+        sizes = session.metrics()
+        rows.append((index_ms, file_ms))
+        t.add(session.seq, os.path.getsize(path),
+              sizes["explain_index_rows"], sizes["explain_index_bytes"],
+              ms(index_ms), ms(file_ms), ratio(file_ms, index_ms))
+    t.show()
+
+    kinds = node_bytes(read_audit(path))
+    total = sum(size for _, size in kinds.values())
+    k = REPORT.table(["node kind", "nodes", "bytes", "share"],
+                     title="E10 — provenance bytes by node kind, longest "
+                           "session")
+    for kind, (nodes, size) in sorted(kinds.items()):
+        k.add(kind, nodes, size, f"{100 * size / total:.1f}%")
+    k.show()
+    session.close()
+
+    f = REPORT.table(["fold", "undo entries", "median", "max"],
+                     title="E10 — explain index fold per undo entry")
+    f.add("entry_events + marshal", len(folds),
+          ms(float(np.median(folds))), ms(max(folds)))
+    f.show()
+
+    (first_index, _), (last_index, last_file) = rows[0], rows[-1]
+    REPORT.value("explain_index_ms_at_max", round(1e3 * last_index, 3))
+    REPORT.value("explain_file_ms_at_max", round(1e3 * last_file, 3))
+    REPORT.value("explain_index_speedup", round(last_file / last_index, 2))
+    REPORT.value("explain_index_growth", round(last_index / first_index, 2))
+    REPORT.value("explain_fold_undo_ms", round(1e3 * np.median(folds), 3))
+    REPORT.value("skip_bytes_share",
+                 round(kinds.get("skip", (0, 0))[1] / total, 4))
+    # the index must beat re-reading the file once the session is long
+    assert last_file > last_index

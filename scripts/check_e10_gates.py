@@ -11,7 +11,10 @@ build unless
   than the full snapshot it references;
 * ``orderer_fold_speedup > 1.0`` — the sibling orderer folds an undo's
   new actions faster than it could rebuild its relation over the
-  whole history.
+  whole history;
+* ``explain_index_speedup > 1.0`` — at the longest session measured,
+  ``explain`` reads one stamp's indexed rows faster than it could
+  re-read the whole audit file.
 
 These are the regressions the compact core exists to prevent: if any
 gate fails, an O(delta) path has silently degraded to the O(state)
@@ -33,6 +36,7 @@ GATES = [
     ("fingerprint_incremental_speedup", "gt", 1.0),
     ("delta_snapshot_bytes_ratio", "lt", 1.0),
     ("orderer_fold_speedup", "gt", 1.0),
+    ("explain_index_speedup", "gt", 1.0),
 ]
 
 

@@ -566,9 +566,10 @@ def _main_audit(argv: List[str]) -> int:
         print(USAGE)
         return 2
     dirpath = os.path.join(pos[0], pos[1])
-    entries = read_audit(audit_path(dirpath))
     if tail is not None and tail >= 0:
-        entries = entries[len(entries) - min(tail, len(entries)):]
+        entries = read_audit(audit_path(dirpath), tail=tail)
+    else:
+        entries = read_audit(audit_path(dirpath))
     for entry in entries:
         print(json.dumps(entry, sort_keys=True))
     if check:

@@ -51,16 +51,17 @@ above it.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["AUDIT_SCHEMA", "AUDIT_FILE", "Verdict", "ProvenanceNode",
            "audit_path", "safety_verdict", "reversibility_verdict",
            "DEPTH_BUCKETS", "FANOUT_BUCKETS", "count_check", "count_skip",
            "count_cascade",
            "command_audit", "audit_entry", "read_audit", "entry_trees",
-           "stamp_events", "stamp_trees", "explain_doc",
+           "entry_events", "stamp_events", "stamp_trees", "explain_doc",
            "render_explanation", "provenance_to_dot"]
 
 #: version stamp written into every audit entry; bump on layout changes.
@@ -239,26 +240,17 @@ class ProvenanceNode:
 
     @classmethod
     def from_doc(cls, doc: Dict[str, Any]) -> "ProvenanceNode":
-        verdict = doc.get("verdict")
         return cls(kind=doc["kind"], stamp=doc.get("stamp"),
                    name=doc.get("name"), role=doc.get("role"),
                    reason=doc.get("reason"), detail=doc.get("detail", ""),
-                   verdict=Verdict.from_doc(verdict) if verdict else None,
+                   verdict=_doc_verdict(doc),
                    children=[cls.from_doc(c)
                              for c in doc.get("children", [])])
 
     def label(self) -> str:
         """Compact one-line rendering of this node alone."""
-        if self.kind == "undo":
-            forced = f" — {self.verdict.describe()}" if self.verdict else ""
-            return f"undo t{self.stamp} ({self.name}, {self.role}){forced}"
-        if self.kind == "check":
-            return self.verdict.describe() if self.verdict else "check"
-        if self.kind == "skip":
-            detail = f": {self.detail}" if self.detail else ""
-            return (f"skip t{self.stamp} ({self.name}) "
-                    f"[{self.reason}]{detail}")
-        return self.kind  # pragma: no cover - closed kind vocabulary
+        # the node's fields are its doc's keys
+        return node_label(vars(self), self.verdict)
 
     def describe(self, indent: int = 0) -> str:
         """Multi-line indented rendering of the whole tree."""
@@ -266,6 +258,29 @@ class ProvenanceNode:
         for child in self.children:
             lines.append(child.describe(indent + 1))
         return "\n".join(lines)
+
+
+def node_label(node: Dict[str, Any], verdict: Optional[Verdict]) -> str:
+    """One-line rendering of one node, from its doc form (children are
+    not read) and its decoded ``verdict``."""
+    kind = node["kind"]
+    if kind == "undo":
+        forced = f" — {verdict.describe()}" if verdict else ""
+        return (f"undo t{node.get('stamp')} ({node.get('name')}, "
+                f"{node.get('role')}){forced}")
+    if kind == "check":
+        return verdict.describe() if verdict else "check"
+    if kind == "skip":
+        detail = f": {node['detail']}" if node.get("detail") else ""
+        return (f"skip t{node.get('stamp')} ({node.get('name')}) "
+                f"[{node.get('reason')}]{detail}")
+    return kind  # pragma: no cover - closed kind vocabulary
+
+
+def _doc_verdict(node: Dict[str, Any]) -> Optional[Verdict]:
+    """The decoded verdict a node doc carries, if any."""
+    doc = node.get("verdict")
+    return Verdict.from_doc(doc) if doc else None
 
 
 def provenance_to_dot(trees: List[Dict[str, Any]],
@@ -284,10 +299,11 @@ def provenance_to_dot(trees: List[Dict[str, Any]],
     def emit(doc: Dict[str, Any], parent: Optional[str]) -> None:
         nid = f"n{counter[0]}"
         counter[0] += 1
-        node = ProvenanceNode.from_doc(doc)
-        text = node.label().replace("\\", "\\\\").replace('"', '\\"')
-        shape = {"undo": "box", "check": "ellipse"}.get(node.kind, "note")
-        style = ', style=dashed' if node.kind == "skip" else ""
+        kind = doc["kind"]
+        text = node_label(doc, _doc_verdict(doc))
+        text = text.replace("\\", "\\\\").replace('"', '\\"')
+        shape = {"undo": "box", "check": "ellipse"}.get(kind, "note")
+        style = ', style=dashed' if kind == "skip" else ""
         lines.append(f'  {nid} [label="{text}", shape={shape}{style}];')
         if parent is not None:
             lines.append(f"  {parent} -> {nid};")
@@ -400,26 +416,71 @@ def audit_entry(command: Any, seq: int) -> Dict[str, Any]:
     return doc
 
 
-def read_audit(path: str) -> List[Dict[str, Any]]:
+#: bytes read per step when :func:`read_audit` reads a tail backwards.
+_TAIL_BLOCK = 1 << 16
+
+
+def _lines_backwards(fh: Any) -> Iterator[bytes]:
+    """The lines of a binary file, last first, read in blocks from the
+    end.  Splits where a text-mode read does (``\\n``, ``\\r\\n``,
+    ``\\r``); only blank lines, which no reader keeps, may differ."""
+    pos = fh.seek(0, os.SEEK_END)
+    rest = b""
+    while pos > 0:
+        step = min(_TAIL_BLOCK, pos)
+        pos -= step
+        fh.seek(pos)
+        lines = (fh.read(step) + rest).splitlines()
+        # the first line may continue in the block before this one
+        rest = lines.pop(0) if pos and lines else b""
+        yield from reversed(lines)
+    if rest:
+        yield rest
+
+
+def _audit_doc(line: Any) -> Optional[Dict[str, Any]]:
+    """One audit line's entry, or ``None`` for a torn/garbage line."""
+    try:
+        doc = json.loads(line)
+    except ValueError:
+        return None
+    if isinstance(doc, dict) and "seq" in doc and "op" in doc:
+        return doc
+    return None
+
+
+def read_audit(path: str,
+               tail: Optional[int] = None) -> List[Dict[str, Any]]:
     """Load an ``audit.jsonl`` file (torn/garbage lines are skipped).
 
     Like :func:`repro.obs.trace.read_trace`: the audit log is evidence,
     not a recovery source, so a torn tail loses those lines only —
     :func:`repro.obs.check.audit_roundtrip` is what notices a gap.
+    With ``tail``, only the last ``tail`` entries, read from the end of
+    the file: the same entries as ``read_audit(path)[-tail:]`` for a
+    positive ``tail``.
     """
-    import json
-
     if not os.path.exists(path):
         return []
     out: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+    if tail is None:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                doc = _audit_doc(line)
+                if doc is not None:
+                    out.append(doc)
+        return out
+    with open(path, "rb") as fh:
+        for raw in _lines_backwards(fh):
+            if len(out) >= tail:
+                break
             try:
-                doc = json.loads(line)
-            except ValueError:
+                doc = _audit_doc(raw.decode("utf-8"))
+            except UnicodeDecodeError:
                 continue
-            if isinstance(doc, dict) and "seq" in doc and "op" in doc:
+            if doc is not None:
                 out.append(doc)
+    out.reverse()
     return out
 
 
@@ -439,70 +500,79 @@ def entry_trees(entry: Dict[str, Any]) -> List[Dict[str, Any]]:
 # ---------------------------------------------------------------------------
 
 
-def stamp_events(entries: List[Dict[str, Any]],
-                 stamp: int) -> List[Dict[str, Any]]:
-    """Every audit event that touches ``stamp``, oldest first.
+def _walk_doc(tree: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
+    """Every node doc of a tree, depth-first (the order of
+    :meth:`ProvenanceNode.walk`)."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.get("children", ())))
+
+
+def entry_events(entry: Dict[str, Any]
+                 ) -> Iterator[Tuple[Any, Dict[str, Any]]]:
+    """Every ``(stamp, event)`` pair one audit entry holds, in log order.
 
     Three ways an entry can touch a stamp: a provenance node *about* it
     (it was undone, re-checked, or skipped), a verdict *blaming* it (one
     of its actions fired a disabling condition elsewhere), or the entry
-    being the command that created/targeted it.
+    being the command that created/targeted it.  Reads the doc form
+    directly; only nodes that carry a verdict decode it.
     """
-    events: List[Dict[str, Any]] = []
-    for entry in entries:
-        seq, op = entry.get("seq"), entry.get("op")
-        if entry.get("stamp") == stamp and op in ("apply", "edit"):
-            events.append(dict(
-                seq=seq, op=op, kind="command",
-                text=f"{op} created t{stamp}"
-                + (" (failed)" if entry.get("status") == "failed"
-                   else "")))
-        for tree in entry_trees(entry):
-            root = ProvenanceNode.from_doc(tree)
-            within = f"undo t{root.stamp}" if root.stamp is not None else op
-            for node in root.walk():
-                if node.stamp == stamp and node.kind in ("undo", "skip",
-                                                         "check"):
-                    events.append(dict(
-                        seq=seq, op=op, kind=node.kind, role=node.role,
-                        reason=node.reason, within=within,
-                        text=node.label(),
-                        verdict=node.verdict.to_doc()
-                        if node.verdict else None))
-                if node.verdict is not None and node.kind == "check":
-                    for v in node.verdict.violations:
-                        if v.get("cause_stamp") == stamp \
-                                and node.stamp != stamp:
-                            events.append(dict(
-                                seq=seq, op=op, kind="blamed",
-                                within=within,
-                                text=(f"t{stamp} blamed: "
-                                      f"{node.verdict.describe()}")))
-    return events
+    seq, op = entry.get("seq"), entry.get("op")
+    stamp = entry.get("stamp")
+    if stamp is not None and op in ("apply", "edit"):
+        failed = " (failed)" if entry.get("status") == "failed" else ""
+        yield stamp, {"seq": seq, "op": op, "kind": "command",
+                      "text": f"{op} created t{stamp}{failed}"}
+    for tree in entry_trees(entry):
+        root = tree.get("stamp")
+        within = f"undo t{root}" if root is not None else op
+        for node in _walk_doc(tree):
+            kind, about = node["kind"], node.get("stamp")
+            verdict = _doc_verdict(node)
+            if about is not None and kind in ("undo", "skip", "check"):
+                yield about, {
+                    "seq": seq, "op": op, "kind": kind,
+                    "role": node.get("role"), "reason": node.get("reason"),
+                    "within": within, "text": node_label(node, verdict),
+                    "verdict": verdict.to_doc() if verdict else None}
+            if verdict is not None and kind == "check":
+                for v in verdict.violations:
+                    cause = v.get("cause_stamp")
+                    if cause is not None and cause != about:
+                        yield cause, {
+                            "seq": seq, "op": op, "kind": "blamed",
+                            "within": within,
+                            "text": f"t{cause} blamed: {verdict.describe()}"}
+
+
+def stamp_events(entries: List[Dict[str, Any]],
+                 stamp: int) -> List[Dict[str, Any]]:
+    """Every audit event that touches ``stamp``, oldest first (the
+    :func:`entry_events` of ``stamp``)."""
+    return [event for entry in entries
+            for about, event in entry_events(entry) if about == stamp]
 
 
 def stamp_trees(entries: List[Dict[str, Any]],
                 stamp: int) -> List[Dict[str, Any]]:
     """Every audited provenance tree (doc form) that mentions ``stamp``."""
-    out: List[Dict[str, Any]] = []
-    for entry in entries:
-        for tree in entry_trees(entry):
-            if any(node.stamp == stamp
-                   for node in ProvenanceNode.from_doc(tree).walk()):
-                out.append(tree)
-    return out
+    return [tree for entry in entries for tree in entry_trees(entry)
+            if any(node.get("stamp") == stamp for node in _walk_doc(tree))]
 
 
 def explain_doc(live: Optional[Dict[str, Any]],
-                entries: List[Dict[str, Any]],
+                history: List[Dict[str, Any]],
                 stamp: int) -> Dict[str, Any]:
     """The full explanation document for one stamp.
 
     ``live`` is :meth:`repro.core.engine.TransformationEngine.explain`
-    output (current verdicts), ``entries`` the session's audit log.
+    output (current verdicts), ``history`` the stamp's audit events
+    (:func:`stamp_events`, or a session's index of them).
     """
-    return {"stamp": stamp, "live": live,
-            "history": stamp_events(entries, stamp)}
+    return {"stamp": stamp, "live": live, "history": history}
 
 
 def render_explanation(doc: Dict[str, Any]) -> str:

@@ -72,6 +72,7 @@ from repro.obs.provenance import (
     provenance_to_dot,
     read_audit,
     render_explanation,
+    stamp_events,
     stamp_trees,
 )
 from repro.service.recovery import RecoveryError
@@ -467,16 +468,20 @@ class SessionServer(Front):
             if verb == "explain":
                 stamp = int(args[0])
                 mode = args[1] if len(args) > 1 else ""
-                entries = read_audit(audit_path(session.dirpath))
-                doc = explain_doc(session.engine.explain(stamp), entries,
-                                  stamp)
-                if mode == "json":
-                    return json.dumps(doc, sort_keys=True)
                 if mode == "dot":
-                    trees = stamp_trees(entries, stamp)
+                    trees = stamp_trees(
+                        read_audit(audit_path(session.dirpath)), stamp)
                     if not trees:
                         return "(no provenance recorded)"
                     return provenance_to_dot(trees, title=f"t{stamp}")
+                history = session.explain_events(stamp)
+                if history is None:
+                    history = stamp_events(
+                        read_audit(audit_path(session.dirpath)), stamp)
+                doc = explain_doc(session.engine.explain(stamp), history,
+                                  stamp)
+                if mode == "json":
+                    return json.dumps(doc, sort_keys=True)
                 return render_explanation(doc)
             if verb == "audit":
                 if args and args[0] == "check":
@@ -485,9 +490,12 @@ class SessionServer(Front):
                         return report.describe()
                     return error_reply("audit-mismatch",
                                        "; ".join(report.problems))
-                entries = read_audit(audit_path(session.dirpath))
-                if args:
-                    entries = entries[-int(args[0]):]
+                tail = int(args[0]) if args else 0
+                path = audit_path(session.dirpath)
+                # a positive tail reads only the file's end; 0 and
+                # negative counts slice the whole log
+                entries = read_audit(path, tail=tail) if tail > 0 \
+                    else read_audit(path)[-tail:]
                 return "\n".join(json.dumps(e, sort_keys=True)
                                  for e in entries) or "(no audit entries)"
             if verb == "snapshot":

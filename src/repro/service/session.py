@@ -29,12 +29,13 @@ session, and least-recently-used idle sessions are evicted to disk
 from __future__ import annotations
 
 import json
+import marshal
 import os
 import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import IO, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.commands import BatchResult, Command, EditCommand
 from repro.core.engine import TransformationEngine
@@ -48,7 +49,8 @@ from repro.lang.parser import parse_program
 from repro.core.locations import Location
 from repro.obs.check import trace_path
 from repro.obs.metrics import Histogram, MetricsRegistry, registry_views
-from repro.obs.provenance import audit_entry, audit_path
+from repro.obs.provenance import (audit_entry, audit_path, entry_events,
+                                  read_audit)
 from repro.obs.trace import Span, Tracer, annotate_request
 from repro.service.journal import Journal, scan_journal
 from repro.service.recovery import (
@@ -86,6 +88,25 @@ def _subtree_sids(stmt: Stmt) -> List[int]:
     for slot in stmt.body_slots():
         for child in stmt.get_body(slot):
             out.extend(_subtree_sids(child))
+    return out
+
+
+def _open_log(path: str) -> IO[str]:
+    """Open a JSON-lines log for line-buffered appending.
+
+    A torn last line (a crash mid-write) is ended with a newline first,
+    so the next entry starts a line of its own instead of being glued
+    onto the fragment; readers skip the fragment.
+    """
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(-1, os.SEEK_END)
+            torn = fh.read(1) != b"\n"
+    except OSError:  # missing or empty
+        torn = False
+    out = open(path, "a", encoding="utf-8", buffering=1)
+    if torn:
+        out.write("\n")
     return out
 
 
@@ -158,16 +179,22 @@ class DurableSession:
         # stream every completed span to trace.jsonl (line-buffered so a
         # killed process loses at most the current line; read back with
         # repro.obs.trace.read_trace, which skips a torn tail)
-        self._trace_fh = open(trace_path(dirpath), "a", encoding="utf-8",
-                              buffering=1)
+        self._trace_fh = _open_log(trace_path(dirpath))
         # the append-only audit log: one schema-versioned entry per
         # journaled command, carrying the provenance tree (same torn-line
         # discipline as the trace stream; cross-checked against the
         # journal by repro.obs.check.audit_roundtrip)
-        self._audit_fh = open(audit_path(dirpath), "a", encoding="utf-8",
-                              buffering=1)
+        self._audit_fh = _open_log(audit_path(dirpath))
         #: audit entries written by this handle (mirrors journal appends).
         self.audit_entries = 0
+        # active stamp -> its audit events (entry_events): explain reads
+        # one stamp's rows, not the whole audit.jsonl.  Built from the
+        # file on this handle's first explain (None until then), folded
+        # from each entry written, and a stamp's rows leave when it is
+        # undone.  Each row is kept marshalled: bytes are not tracked by
+        # the GC, and marshal encodes a plain dict ~3x faster than
+        # json.dumps (the format is never written anywhere).
+        self._explain_index: Optional[Dict[int, List[bytes]]] = None
         self.tracer.sinks.append(self._on_span)
         # attach AFTER recovery replay so recovered commands are not
         # journaled a second time — this covers the audit log too: a
@@ -303,10 +330,14 @@ class DurableSession:
             # describes a command the journal lost; a failure here
             # poisons the session exactly like a journal failure (the
             # audit trail is evidence — it must not silently fall behind)
-            self._audit_fh.write(
-                json.dumps(audit_entry(command, self.seq), sort_keys=True)
-                + "\n")
+            entry = audit_entry(command, self.seq)
+            self._audit_fh.write(json.dumps(entry, sort_keys=True) + "\n")
             self.audit_entries += 1
+            if self._explain_index is not None:
+                self._index_events(entry)
+                for stamp in [s for s in self._explain_index
+                              if not self._indexed(s)]:
+                    del self._explain_index[stamp]
             self.last_work = dict(command.work)
             self._since_snapshot += 1
             if self.snapshot_every \
@@ -315,6 +346,24 @@ class DurableSession:
         except BaseException as exc:
             self.journal_error = exc
             raise
+
+    def _indexed(self, stamp: Any) -> bool:
+        """Whether ``stamp``'s events belong in the explain index: it
+        names an active transformation.  An undone stamp never becomes
+        active again, so its dropped rows are never needed."""
+        history = self.engine.history
+        if not history.has_stamp(stamp):
+            return False
+        record = history.by_stamp(stamp)
+        return record.active and not record.is_edit
+
+    def _index_events(self, entry: Dict[str, Any]) -> None:
+        """Fold one audit entry's events about active stamps into the
+        explain index."""
+        index = self._explain_index
+        for stamp, event in entry_events(entry):
+            if self._indexed(stamp):
+                index.setdefault(stamp, []).append(marshal.dumps(event))
 
     def snapshot(self) -> Optional[str]:
         """Cut a snapshot (full or delta) now.
@@ -530,14 +579,33 @@ class DurableSession:
         records, _valid, _torn = scan_journal(self.journal.path)
         return [rec.cmd for rec in records]
 
+    def explain_events(self, stamp: int) -> Optional[List[Dict[str, Any]]]:
+        """``stamp``'s audit events, read from the explain index.
+
+        Equal to :func:`~repro.obs.provenance.stamp_events` over
+        ``audit.jsonl``.  ``None`` when ``stamp`` is not active: undone
+        and unknown stamps are not indexed, so the caller reads the file.
+        """
+        if not self._indexed(stamp):
+            return None
+        if self._explain_index is None:
+            self._explain_index = {}
+            for entry in read_audit(audit_path(self.dirpath)):
+                self._index_events(entry)
+        return [marshal.loads(row)
+                for row in self._explain_index.get(stamp, ())]
+
     def metrics(self) -> Dict[str, Any]:
         """Persistence + analysis-work + latency stats for this session.
 
         The ``latency`` block is derived from completed top-level
         command spans (see :meth:`_on_span`), so it covers every command
         executed through this handle — including failed ones — at the
-        span sink's histogram resolution.
+        span sink's histogram resolution.  ``explain_index_rows`` and
+        ``explain_index_bytes`` size the explain index (0 before this
+        handle's first ``explain``).
         """
+        index = self._explain_index or {}
         return {"seq": self.seq,
                 "commands": self.seq,
                 "active": len(self.engine.history.active()),
@@ -549,6 +617,9 @@ class DurableSession:
                 "spans_recorded": self.tracer.recorder.completed,
                 "spans_dropped": self.tracer.recorder.dropped,
                 "audit_entries": self.audit_entries,
+                "explain_index_rows": sum(map(len, index.values())),
+                "explain_index_bytes": sum(len(row) for rows in index.values()
+                                           for row in rows),
                 "latency": {"count": self._latency.count,
                             "p50_ms": self._latency.quantile(0.5) * 1e3,
                             "p95_ms": self._latency.quantile(0.95) * 1e3},

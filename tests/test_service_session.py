@@ -111,6 +111,33 @@ class TestDurableSession:
         assert seen == [(2, 0, False)]
         s.close()
 
+    def test_torn_log_tail_keeps_the_next_entry(self, tmp_path):
+        """A crash mid-write leaves an unterminated last line in
+        ``audit.jsonl`` or ``trace.jsonl``; the next handle ends it
+        before appending, so its first entry is not glued onto the
+        fragment (and skipped with it)."""
+        from repro.obs.check import trace_path
+        from repro.obs.provenance import audit_path, read_audit
+        from repro.obs.trace import read_trace
+
+        d = str(tmp_path)
+        s = DurableSession.create(d, SRC)
+        s.apply("cse", 0)
+        s.close()
+        spans = len(read_trace(trace_path(d)))
+        for path in (audit_path(d), trace_path(d)):
+            with open(path, "a") as fh:
+                fh.write('{"op": "undo", "seq": 2, "sch')
+        s = DurableSession.open(d)
+        replayed = s.tracer.recorder.completed
+        s.undo(1)
+        written = s.tracer.recorder.completed - replayed
+        s.close()
+        assert [e["seq"] for e in read_audit(audit_path(d))] == [1, 2]
+        assert len(read_trace(trace_path(d))) == spans + written
+        # the fragment stays, on a line of its own
+        assert open(audit_path(d)).read().count("\n") == 3
+
     def test_log_returns_encoded_history(self, tmp_path):
         s = DurableSession.create(str(tmp_path), SRC)
         s.apply("cse", 0)
