@@ -520,12 +520,14 @@ def entry_events(entry: Dict[str, Any]
     being the command that created/targeted it.  Reads the doc form
     directly; only nodes that carry a verdict decode it.
     """
+    # keyword syntax deliberately, as in command_audit: these are
+    # explain rows, not command dicts
     seq, op = entry.get("seq"), entry.get("op")
     stamp = entry.get("stamp")
     if stamp is not None and op in ("apply", "edit"):
         failed = " (failed)" if entry.get("status") == "failed" else ""
-        yield stamp, {"seq": seq, "op": op, "kind": "command",
-                      "text": f"{op} created t{stamp}{failed}"}
+        yield stamp, dict(seq=seq, op=op, kind="command",
+                          text=f"{op} created t{stamp}{failed}")
     for tree in entry_trees(entry):
         root = tree.get("stamp")
         within = f"undo t{root}" if root is not None else op
@@ -533,19 +535,18 @@ def entry_events(entry: Dict[str, Any]
             kind, about = node["kind"], node.get("stamp")
             verdict = _doc_verdict(node)
             if about is not None and kind in ("undo", "skip", "check"):
-                yield about, {
-                    "seq": seq, "op": op, "kind": kind,
-                    "role": node.get("role"), "reason": node.get("reason"),
-                    "within": within, "text": node_label(node, verdict),
-                    "verdict": verdict.to_doc() if verdict else None}
+                yield about, dict(
+                    seq=seq, op=op, kind=kind, role=node.get("role"),
+                    reason=node.get("reason"), within=within,
+                    text=node_label(node, verdict),
+                    verdict=verdict.to_doc() if verdict else None)
             if verdict is not None and kind == "check":
                 for v in verdict.violations:
                     cause = v.get("cause_stamp")
                     if cause is not None and cause != about:
-                        yield cause, {
-                            "seq": seq, "op": op, "kind": "blamed",
-                            "within": within,
-                            "text": f"t{cause} blamed: {verdict.describe()}"}
+                        yield cause, dict(
+                            seq=seq, op=op, kind="blamed", within=within,
+                            text=f"t{cause} blamed: {verdict.describe()}")
 
 
 def stamp_events(entries: List[Dict[str, Any]],
