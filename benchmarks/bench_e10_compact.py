@@ -403,9 +403,9 @@ def test_e10_explain_index(tmp_path):
     folds = []
     index_events = session._index_events
 
-    def timed_fold(entry):
+    def timed_fold(index, entry):
         start = time.perf_counter()
-        index_events(entry)
+        index_events(index, entry)
         if entry["op"] == "undo":
             folds.append(time.perf_counter() - start)
 

@@ -416,28 +416,6 @@ def audit_entry(command: Any, seq: int) -> Dict[str, Any]:
     return doc
 
 
-#: bytes read per step when :func:`read_audit` reads a tail backwards.
-_TAIL_BLOCK = 1 << 16
-
-
-def _lines_backwards(fh: Any) -> Iterator[bytes]:
-    """The lines of a binary file, last first, read in blocks from the
-    end.  Splits where a text-mode read does (``\\n``, ``\\r\\n``,
-    ``\\r``); only blank lines, which no reader keeps, may differ."""
-    pos = fh.seek(0, os.SEEK_END)
-    rest = b""
-    while pos > 0:
-        step = min(_TAIL_BLOCK, pos)
-        pos -= step
-        fh.seek(pos)
-        lines = (fh.read(step) + rest).splitlines()
-        # the first line may continue in the block before this one
-        rest = lines.pop(0) if pos and lines else b""
-        yield from reversed(lines)
-    if rest:
-        yield rest
-
-
 def _audit_doc(line: Any) -> Optional[Dict[str, Any]]:
     """One audit line's entry, or ``None`` for a torn/garbage line."""
     try:
@@ -456,28 +434,20 @@ def read_audit(path: str,
     Like :func:`repro.obs.trace.read_trace`: the audit log is evidence,
     not a recovery source, so a torn tail loses those lines only —
     :func:`repro.obs.check.audit_roundtrip` is what notices a gap.
-    With ``tail``, only the last ``tail`` entries, read from the end of
-    the file: the same entries as ``read_audit(path)[-tail:]`` for a
-    positive ``tail``.
+    With ``tail``, only the last ``tail`` entries: the same entries as
+    ``read_audit(path)[-tail:]`` for a positive ``tail``, but only the
+    lines at the end of the file are parsed.
     """
     if not os.path.exists(path):
         return []
-    out: List[Dict[str, Any]] = []
-    if tail is None:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                doc = _audit_doc(line)
-                if doc is not None:
-                    out.append(doc)
-        return out
-    with open(path, "rb") as fh:
-        for raw in _lines_backwards(fh):
+    with open(path, "r", encoding="utf-8") as fh:
+        if tail is None:
+            return [doc for doc in map(_audit_doc, fh) if doc is not None]
+        out: List[Dict[str, Any]] = []
+        for line in reversed(fh.readlines()):
             if len(out) >= tail:
                 break
-            try:
-                doc = _audit_doc(raw.decode("utf-8"))
-            except UnicodeDecodeError:
-                continue
+            doc = _audit_doc(line)
             if doc is not None:
                 out.append(doc)
     out.reverse()

@@ -333,11 +333,6 @@ class DurableSession:
             entry = audit_entry(command, self.seq)
             self._audit_fh.write(json.dumps(entry, sort_keys=True) + "\n")
             self.audit_entries += 1
-            if self._explain_index is not None:
-                self._index_events(entry)
-                for stamp in [s for s in self._explain_index
-                              if not self._indexed(s)]:
-                    del self._explain_index[stamp]
             self.last_work = dict(command.work)
             self._since_snapshot += 1
             if self.snapshot_every \
@@ -346,6 +341,19 @@ class DurableSession:
         except BaseException as exc:
             self.journal_error = exc
             raise
+        # outside the poisoning try: the index is derived from the
+        # audit log, which is already written.  A fold that raises drops
+        # the index (the next explain rebuilds it from the file) and
+        # reaches the engine's observer-error log, not journal_error.
+        index = self._explain_index
+        if index is not None:
+            try:
+                self._index_events(index, entry)
+                for stamp in [s for s in index if not self._indexed(s)]:
+                    del index[stamp]
+            except BaseException:
+                self._explain_index = None
+                raise
 
     def _indexed(self, stamp: Any) -> bool:
         """Whether ``stamp``'s events belong in the explain index: it
@@ -357,10 +365,10 @@ class DurableSession:
         record = history.by_stamp(stamp)
         return record.active and not record.is_edit
 
-    def _index_events(self, entry: Dict[str, Any]) -> None:
-        """Fold one audit entry's events about active stamps into the
-        explain index."""
-        index = self._explain_index
+    def _index_events(self, index: Dict[int, List[bytes]],
+                      entry: Dict[str, Any]) -> None:
+        """Fold one audit entry's events about active stamps into
+        ``index``."""
         for stamp, event in entry_events(entry):
             if self._indexed(stamp):
                 index.setdefault(stamp, []).append(marshal.dumps(event))
@@ -589,9 +597,12 @@ class DurableSession:
         if not self._indexed(stamp):
             return None
         if self._explain_index is None:
-            self._explain_index = {}
+            index: Dict[int, List[bytes]] = {}
             for entry in read_audit(audit_path(self.dirpath)):
-                self._index_events(entry)
+                self._index_events(index, entry)
+            # kept only once whole: a build that raises leaves no
+            # partial index behind, and the next explain tries again
+            self._explain_index = index
         return [marshal.loads(row)
                 for row in self._explain_index.get(stamp, ())]
 

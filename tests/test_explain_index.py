@@ -226,3 +226,76 @@ def test_fixtures_open_verified_and_explain(tmp_path, version):
                     f"{version} explain {stamp} {mode}".strip())
                 assert got == reference_reply(served, stamp, mode)
     manager.close_all()
+
+
+def undone_session(tmp_path):
+    """A closed session whose audit log holds one undo's provenance."""
+    source = format_program(generate_program(3, GeneratorConfig(blocks=8)))
+    manager = SessionManager(str(tmp_path))
+    manager.create("s", source)
+    with manager.session("s") as session:
+        apply_greedy(session.engine, 6, seed=3)
+        session.undo(min(active_stamps(session)))
+    manager.close_all()
+    return manager, audit_path(str(tmp_path / "s"))
+
+
+def corrupt_undo_node(path):
+    """Drop ``kind`` from the undo entry's provenance root."""
+    entries = read_audit(path)
+    for entry in entries:
+        if entry.get("provenance"):
+            del entry["provenance"]["kind"]
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(e, sort_keys=True) + "\n" for e in entries)
+
+
+def corrupt_bytes(path):
+    """Put a line that is not UTF-8 in front of the last entry."""
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
+    lines.insert(len(lines) - 1, b"\xff\xfe\n")
+    with open(path, "wb") as fh:
+        fh.writelines(lines)
+
+
+@pytest.mark.parametrize("corrupt", [corrupt_undo_node, corrupt_bytes])
+def test_a_corrupt_entry_leaves_no_partial_index(tmp_path, corrupt):
+    """An index build that fails part-way keeps nothing: every explain
+    of an active stamp fails as the whole-file read does, instead of
+    answering from the entries before the bad one."""
+    manager, path = undone_session(tmp_path)
+    corrupt(path)
+    server = SessionServer(manager)
+    with manager.session("s") as session:
+        for stamp in sorted(active_stamps(session)) * 2:
+            assert server.handle_line(f"s explain {stamp}").startswith(
+                "error: bad-request")
+            assert session._explain_index is None
+    manager.close_all()
+
+
+def test_a_failing_fold_drops_the_index_not_the_session(tmp_path,
+                                                        monkeypatch):
+    """The index is derived from the written audit log: a fold that
+    raises is logged as an observer error, the index is rebuilt from the
+    file on the next explain, and later commands still run."""
+    manager, _path = undone_session(tmp_path)
+    server = SessionServer(manager)
+    with manager.session("s") as session:
+        stamp = max(active_stamps(session))
+        server.handle_line(f"s explain {stamp}")  # builds the index
+        assert session._explain_index is not None
+
+        def broken(index, entry):
+            raise RuntimeError("fold failed")
+
+        monkeypatch.setattr(session, "_index_events", broken)
+        session.undo(stamp)
+        assert session._explain_index is None
+        assert session.journal_error is None
+        assert "fold failed" in repr(session.engine.observer_errors[-1][1])
+        monkeypatch.undo()
+        apply_greedy(session.engine, 2, seed=4)
+        check_every_stamp(server, session)
+    manager.close_all()

@@ -464,12 +464,10 @@ class TestCliExitCodes:
         assert len(capsys.readouterr().out.strip().splitlines()) == 2
 
     def test_audit_tails_equal_the_whole_file_slice(self, tmp_path,
-                                                    capsys, monkeypatch):
-        """``<s> audit <n>`` and ``audit --tail n`` read the file's end
-        and reply exactly what slicing the whole file did, garbage lines
-        skipped, on either side of a block edge."""
-        from repro.obs import provenance
-
+                                                    capsys):
+        """``<s> audit <n>`` and ``audit --tail n`` parse only the
+        file's end and reply exactly what slicing the whole file did,
+        garbage lines skipped."""
         root = self.scripted(tmp_path)
         path = audit_path(os.path.join(root, "s"))
         lines = open(path).read().splitlines()
@@ -480,20 +478,18 @@ class TestCliExitCodes:
         whole = read_audit(path)
         assert [e["seq"] for e in whole] == [1, 2, 3, 4]
         server = SessionServer(SessionManager(root))
-        for block in (7, 64, 1 << 16):
-            monkeypatch.setattr(provenance, "_TAIL_BLOCK", block)
-            for n in range(-2, len(whole) + 3):
-                if n > 0:
-                    assert read_audit(path, tail=n) == whole[-n:]
-                want = "\n".join(json.dumps(e, sort_keys=True)
-                                 for e in whole[-n:]) or "(no audit entries)"
-                assert server.handle_line(f"s audit {n}") == want
-                capsys.readouterr()
-                assert main(["audit", root, "s", "--tail", str(n)]) == 0
-                shown = whole[len(whole) - min(n, len(whole)):] \
-                    if n >= 0 else whole
-                assert capsys.readouterr().out == "".join(
-                    json.dumps(e, sort_keys=True) + "\n" for e in shown)
+        for n in range(-2, len(whole) + 3):
+            if n > 0:
+                assert read_audit(path, tail=n) == whole[-n:]
+            want = "\n".join(json.dumps(e, sort_keys=True)
+                             for e in whole[-n:]) or "(no audit entries)"
+            assert server.handle_line(f"s audit {n}") == want
+            capsys.readouterr()
+            assert main(["audit", root, "s", "--tail", str(n)]) == 0
+            shown = whole[len(whole) - min(n, len(whole)):] \
+                if n >= 0 else whole
+            assert capsys.readouterr().out == "".join(
+                json.dumps(e, sort_keys=True) + "\n" for e in shown)
         server.manager.close_all()
 
     def test_bad_usage_exits_2(self, tmp_path, capsys):
