@@ -485,20 +485,27 @@ def _main_session(argv: List[str]) -> int:
     return 1 if out.startswith("error:") else 0
 
 
-def _main_trace(argv: List[str]) -> int:
-    """``repro trace <root> <name> [--tail N] [--check]`` — span stream.
+def _main_log(kind: str, argv: List[str]) -> int:
+    """``repro trace|audit <root> <name> [--tail N] [--check]``.
 
-    Reads the session's on-disk ``trace.jsonl`` (no live session or
-    lock needed — the stream is append-only), prints the spans as JSON
-    lines, and with ``--check`` joins them against the journal via
-    :func:`repro.obs.check.trace_roundtrip`.
+    Reads a session's on-disk ``trace.jsonl`` or ``audit.jsonl`` (no
+    live session or lock needed — both logs are append-only), prints
+    the records as JSON lines, and with ``--check`` joins the log
+    against the journal (:func:`repro.obs.check.trace_roundtrip` or
+    :func:`~repro.obs.check.audit_roundtrip`), exiting 1 on any
+    mismatch.
     """
     import json
     import os
 
-    from repro.obs.check import trace_path, trace_roundtrip
+    from repro.obs.check import (audit_roundtrip, trace_path,
+                                 trace_roundtrip)
+    from repro.obs.provenance import audit_path, read_audit
     from repro.obs.trace import read_trace
 
+    path_of, read, roundtrip = {
+        "trace": (trace_path, read_trace, trace_roundtrip),
+        "audit": (audit_path, read_audit, audit_roundtrip)}[kind]
     tail: Optional[int] = None
     check = False
     pos: List[str] = []
@@ -520,60 +527,10 @@ def _main_trace(argv: List[str]) -> int:
         print(USAGE)
         return 2
     dirpath = os.path.join(pos[0], pos[1])
-    spans = read_trace(trace_path(dirpath))
-    if tail is not None and tail >= 0:
-        spans = spans[len(spans) - min(tail, len(spans)):]
-    for doc in spans:
+    for doc in read(path_of(dirpath), tail):
         print(json.dumps(doc, sort_keys=True))
     if check:
-        report = trace_roundtrip(dirpath)
-        print(report.describe())
-        return 0 if report.ok else 1
-    return 0
-
-
-def _main_audit(argv: List[str]) -> int:
-    """``repro audit <root> <name> [--tail N] [--check]`` — audit log.
-
-    Like :func:`_main_trace`, reads the on-disk ``audit.jsonl`` without
-    opening the session; ``--check`` joins it against the journal via
-    :func:`repro.obs.check.audit_roundtrip` and exits 1 on any mismatch.
-    """
-    import json
-    import os
-
-    from repro.obs.check import audit_roundtrip
-    from repro.obs.provenance import audit_path, read_audit
-
-    tail: Optional[int] = None
-    check = False
-    pos: List[str] = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--tail":
-            i += 1
-            if i >= len(argv):
-                print(USAGE)
-                return 2
-            tail = int(argv[i])
-        elif arg == "--check":
-            check = True
-        else:
-            pos.append(arg)
-        i += 1
-    if len(pos) != 2:
-        print(USAGE)
-        return 2
-    dirpath = os.path.join(pos[0], pos[1])
-    if tail is not None and tail >= 0:
-        entries = read_audit(audit_path(dirpath), tail=tail)
-    else:
-        entries = read_audit(audit_path(dirpath))
-    for entry in entries:
-        print(json.dumps(entry, sort_keys=True))
-    if check:
-        report = audit_roundtrip(dirpath)
+        report = roundtrip(dirpath)
         print(report.describe())
         return 0 if report.ok else 1
     return 0
@@ -720,10 +677,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _main_collect(argv[1:])
     if argv[0] == "session":
         return _main_session(argv[1:])
-    if argv[0] == "trace":
-        return _main_trace(argv[1:])
-    if argv[0] == "audit":
-        return _main_audit(argv[1:])
+    if argv[0] in ("trace", "audit"):
+        return _main_log(argv[0], argv[1:])
     if argv[0] == "explain":
         return _main_explain(argv[1:])
     if argv[0] == "prof":

@@ -51,10 +51,11 @@ above it.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+from repro.obs.trace import read_log
 
 __all__ = ["AUDIT_SCHEMA", "AUDIT_FILE", "Verdict", "ProvenanceNode",
            "audit_path", "safety_verdict", "reversibility_verdict",
@@ -416,42 +417,15 @@ def audit_entry(command: Any, seq: int) -> Dict[str, Any]:
     return doc
 
 
-def _audit_doc(line: Any) -> Optional[Dict[str, Any]]:
-    """One audit line's entry, or ``None`` for a torn/garbage line."""
-    try:
-        doc = json.loads(line)
-    except ValueError:
-        return None
-    if isinstance(doc, dict) and "seq" in doc and "op" in doc:
-        return doc
-    return None
-
-
 def read_audit(path: str,
                tail: Optional[int] = None) -> List[Dict[str, Any]]:
-    """Load an ``audit.jsonl`` file (torn/garbage lines are skipped).
+    """Load an ``audit.jsonl`` file: :func:`repro.obs.trace.read_log` of
+    the records that have a ``seq`` and an ``op``.
 
-    Like :func:`repro.obs.trace.read_trace`: the audit log is evidence,
-    not a recovery source, so a torn tail loses those lines only —
+    A torn or garbage line loses that entry only;
     :func:`repro.obs.check.audit_roundtrip` is what notices a gap.
-    With ``tail``, only the last ``tail`` entries: the same entries as
-    ``read_audit(path)[-tail:]`` for a positive ``tail``, but only the
-    lines at the end of the file are parsed.
     """
-    if not os.path.exists(path):
-        return []
-    with open(path, "r", encoding="utf-8") as fh:
-        if tail is None:
-            return [doc for doc in map(_audit_doc, fh) if doc is not None]
-        out: List[Dict[str, Any]] = []
-        for line in reversed(fh.readlines()):
-            if len(out) >= tail:
-                break
-            doc = _audit_doc(line)
-            if doc is not None:
-                out.append(doc)
-    out.reverse()
-    return out
+    return read_log(path, ("seq", "op"), tail)
 
 
 def entry_trees(entry: Dict[str, Any]) -> List[Dict[str, Any]]:

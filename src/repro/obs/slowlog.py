@@ -31,6 +31,8 @@ import time
 from collections import deque
 from typing import Any, Dict, List, Optional
 
+from repro.obs.trace import tail_of
+
 __all__ = ["SlowLog"]
 
 #: request lines are truncated to this many characters in an entry — a
@@ -87,10 +89,7 @@ class SlowLog:
 
     def entries(self, tail: Optional[int] = None) -> List[Dict[str, Any]]:
         """The retained entries, oldest first (optionally only the tail)."""
-        out = list(self._entries)
-        if tail is not None and tail >= 0:
-            out = out[len(out) - min(tail, len(out)):]
-        return out
+        return tail_of(list(self._entries), tail)
 
     @staticmethod
     def merge(groups: List[List[Dict[str, Any]]],
@@ -101,8 +100,5 @@ class SlowLog:
         entries have), newest last, optionally truncated to the tail —
         the router's ``_ slow [n]`` fan-in.
         """
-        merged = sorted((e for group in groups for e in group),
-                        key=lambda e: e.get("ts", 0.0))
-        if tail is not None and tail >= 0:
-            merged = merged[len(merged) - min(tail, len(merged)):]
-        return merged
+        return tail_of(sorted((e for group in groups for e in group),
+                              key=lambda e: e.get("ts", 0.0)), tail)

@@ -12,16 +12,22 @@ Design points:
 
 * **Monotonic timing** — spans carry a ``perf_counter`` start and a
   duration; they are never compared across processes.
-* **Nesting without plumbing** — the tracer keeps a thread-local stack
-  of open spans; a span opened while another is open becomes its child
-  (``parent`` id), so ``engine.execute`` recursing into batch
-  sub-commands yields the correct tree with no explicit parent passing.
+* **Nesting without plumbing** — one process-wide table maps each
+  thread to what it is doing: its request context and its open spans,
+  innermost last.  A span opened while another span *of the same
+  tracer* is open on that thread becomes its child (``parent`` id), so
+  ``engine.execute`` recursing into batch sub-commands yields the
+  correct tree with no explicit parent passing; two tracers nested on
+  one thread keep separate trees.  The same table is what the sampling
+  profiler reads (:func:`thread_activity`).
 * **Flight recorder** — completed spans land in a fixed-capacity ring
   buffer (:class:`FlightRecorder`); when it fills, the oldest spans are
   dropped, never the newest — exactly what is wanted when something
   just went wrong.
 * **Sinks** — callables invoked with each completed span; the durable
-  session uses one to stream spans to ``trace.jsonl``.  A sink that
+  session and the shard router use one to stream spans to a JSON-lines
+  file (:func:`open_log`, :meth:`Span.to_line`; read back with
+  :func:`read_log`).  A sink that
   raises is counted and dropped for that span, never propagated:
   observability must not break the host.
 * **A zero-cost off switch** — ``Tracer.disabled`` is a shared tracer
@@ -30,7 +36,7 @@ Design points:
   default to it, so untraced sessions pay one attribute load and one
   ``if`` per command (measured <5% end-to-end in
   ``benchmarks/bench_e7_observability.py`` even with tracing ON).
-* **Request context** — a thread-local *fleet* identity for the request
+* **Request context** — a per-thread *fleet* identity for the request
   currently being served.  The front that serves a request line (the
   single-process server or the shard router) mints one request id for
   it and enters :func:`request_context`; every span any tracer on that thread
@@ -53,34 +59,65 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, IO, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, IO, Iterator, List, Optional,
+                    Sequence, Tuple)
 
-__all__ = ["Span", "FlightRecorder", "Tracer", "read_trace",
-           "new_request_id", "current_request", "request_context",
-           "annotate_request", "thread_activity"]
+__all__ = ["Span", "FlightRecorder", "Tracer", "open_log", "read_log",
+           "read_trace", "tail_of", "new_request_id", "current_request",
+           "request_context", "annotate_request", "thread_activity"]
 
 
-# -- request context ----------------------------------------------------------
+# -- per-thread state ---------------------------------------------------------
 #
 # One thread serves one request at a time (the stdio loop, a TCP
-# connection thread, a shard worker's pipe loop), so a thread-local is
-# the whole mechanism: no tracer plumbing, no per-span arguments.
+# connection thread, a shard worker's pipe loop), so one entry per
+# thread is the whole mechanism: no tracer plumbing, no per-span
+# arguments.  It is keyed by thread ident, not a thread-local, because
+# the sampling profiler (:mod:`repro.obs.profiler`) reads *other*
+# threads' entries.  Only a thread mutates its own entry, with dict and
+# list operations atomic under the GIL, so the hot path takes no lock;
+# the profiler copies before it reads and tolerates the races that
+# remain (a sample attributed to the span that just closed is off by
+# one tick at most).
 
-_REQUEST = threading.local()
 
-# -- thread activity ----------------------------------------------------------
-#
-# The sampling profiler (:mod:`repro.obs.profiler`) reads *other*
-# threads' frames through ``sys._current_frames()``, where thread-locals
-# are invisible — so span enter/exit and :func:`request_context` also
-# maintain this process-wide table: thread ident -> open span names /
-# active request id.  Plain dict and list mutations, atomic under the
-# GIL, so the hot path takes no lock; the profiler snapshots via
-# ``list()`` copies and tolerates the races that remain (a sample
-# attributed to the span that just closed is off by one tick at most).
+class _Thread:
+    """What one thread is doing: its request context and open spans."""
 
-_SPAN_ACTIVITY: Dict[int, List[str]] = {}
-_REQUEST_ACTIVITY: Dict[int, str] = {}
+    __slots__ = ("ctx", "spans")
+
+    def __init__(self) -> None:
+        self.ctx: Optional[Dict[str, Any]] = None
+        #: the open spans of every tracer on the thread, innermost last.
+        self.spans: List["Span"] = []
+
+
+#: thread ident -> its entry; a thread with neither a request context
+#: nor an open span has none.
+_THREADS: Dict[int, _Thread] = {}
+
+
+def _this_thread() -> _Thread:
+    """The calling thread's entry, created on first use."""
+    ident = threading.get_ident()
+    state = _THREADS.get(ident)
+    if state is None:
+        state = _THREADS[ident] = _Thread()
+    return state
+
+
+def _release(state: _Thread) -> None:
+    """Drop the calling thread's entry once it is idle."""
+    if state.ctx is None and not state.spans:
+        _THREADS.pop(threading.get_ident(), None)
+
+
+def _innermost(spans: List["Span"], tracer: "Tracer") -> Optional["Span"]:
+    """The innermost of ``spans`` that ``tracer`` produced."""
+    for span in reversed(spans):
+        if span.tracer is tracer:
+            return span
+    return None
 
 
 def thread_activity() -> Dict[int, Tuple[Optional[str], Optional[str]]]:
@@ -92,12 +129,12 @@ def thread_activity() -> Dict[int, Tuple[Optional[str], Optional[str]]]:
     with neither an open span nor a request context are absent.
     """
     out: Dict[int, Tuple[Optional[str], Optional[str]]] = {}
-    for ident, names in list(_SPAN_ACTIVITY.items()):
-        if names:
-            out[ident] = (names[-1], None)
-    for ident, request in list(_REQUEST_ACTIVITY.items()):
-        span = out.get(ident, (None, None))[0]
-        out[ident] = (span, request)
+    for ident, state in list(_THREADS.items()):
+        innermost = state.spans[-1:]
+        ctx = state.ctx
+        request = ctx.get("request") if ctx is not None else None
+        if innermost or request is not None:
+            out[ident] = (innermost[0].name if innermost else None, request)
     return out
 
 
@@ -113,7 +150,8 @@ def new_request_id() -> str:
 
 def current_request() -> Optional[Dict[str, Any]]:
     """The active request context of this thread, or ``None``."""
-    return getattr(_REQUEST, "ctx", None)
+    state = _THREADS.get(threading.get_ident())
+    return state.ctx if state is not None else None
 
 
 @contextmanager
@@ -129,21 +167,14 @@ def request_context(
     """
     if ctx is None:
         ctx = {"request": new_request_id()}
-    prev = getattr(_REQUEST, "ctx", None)
-    _REQUEST.ctx = ctx
-    ident = threading.get_ident()
-    rid = ctx.get("request")
-    if rid is not None:
-        _REQUEST_ACTIVITY[ident] = rid
+    state = _this_thread()
+    prev = state.ctx
+    state.ctx = ctx
     try:
         yield ctx
     finally:
-        _REQUEST.ctx = prev
-        prev_rid = prev.get("request") if prev else None
-        if prev_rid is not None:
-            _REQUEST_ACTIVITY[ident] = prev_rid
-        else:
-            _REQUEST_ACTIVITY.pop(ident, None)
+        state.ctx = prev
+        _release(state)
 
 
 def annotate_request(**fields: Any) -> None:
@@ -169,8 +200,8 @@ class Span:
 
     Used as a context manager (``with tracer.span("command", op=...) as
     sp``); entering stamps the monotonic start and pushes the span onto
-    the tracer's thread-local stack, exiting records the duration and
-    hands the completed span to the flight recorder and sinks.
+    its thread's open spans, exiting records the duration and hands the
+    completed span to the flight recorder and sinks.
     """
 
     __slots__ = ("tracer", "name", "span_id", "parent_id", "start",
@@ -197,37 +228,28 @@ class Span:
         self.tags.update(tags)
 
     def __enter__(self) -> "Span":
-        stack = self.tracer._open_stack()
-        if stack:
-            self.parent_id = stack[-1].span_id
-        stack.append(self)
-        _SPAN_ACTIVITY.setdefault(threading.get_ident(), []).append(
-            self.name)
+        spans = _this_thread().spans
+        parent = _innermost(spans, self.tracer)
+        if parent is not None:
+            self.parent_id = parent.span_id
+        spans.append(self)
         self.start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.duration = time.perf_counter() - self.start
-        stack = self.tracer._open_stack()
-        dropped = [self]
-        if stack and stack[-1] is self:
-            stack.pop()
-        elif self in stack:  # unbalanced exit: drop through to this span
-            idx = stack.index(self)
-            dropped = stack[idx:]
-            del stack[idx:]
-        ident = threading.get_ident()
-        names = _SPAN_ACTIVITY.get(ident)
-        if names:
-            # an unbalanced exit drops every span above this one too —
-            # their activity entries must not outlive them
-            for span in dropped:
-                for i in range(len(names) - 1, -1, -1):
-                    if names[i] == span.name:
-                        del names[i]
-                        break
-            if not names:
-                _SPAN_ACTIVITY.pop(ident, None)
+        state = _THREADS.get(threading.get_ident())
+        if state is not None:
+            spans = state.spans
+            if spans and spans[-1] is self:
+                spans.pop()
+            elif self in spans:
+                # an unbalanced exit also closes the spans of this
+                # tracer still open above this one
+                i = spans.index(self)
+                spans[i:] = [s for s in spans[i + 1:]
+                             if s.tracer is not self.tracer]
+            _release(state)
         if exc_type is not None and self.status == "ok":
             self.status = "error"
         self.tracer._complete(self)
@@ -239,6 +261,12 @@ class Span:
                 "parent": self.parent_id, "start": self.start,
                 "dur": self.duration, "status": self.status,
                 "tags": dict(self.tags)}
+
+    def to_line(self) -> str:
+        """The span as one JSON line, without its newline (the line
+        ``trace.jsonl``, ``router-trace.jsonl`` and the ``trace`` verb
+        carry)."""
+        return json.dumps(self.to_doc(), sort_keys=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Span({self.name!r}, id={self.span_id}, "
@@ -306,22 +334,11 @@ class FlightRecorder:
 
     def spans(self, tail: Optional[int] = None) -> List[Span]:
         """The retained spans, oldest first (optionally only the tail)."""
-        out = list(self._spans)
-        if tail is not None and tail >= 0:
-            out = out[len(out) - min(tail, len(out)):]
-        return out
+        return tail_of(list(self._spans), tail)
 
     def clear(self) -> None:
         """Forget every retained span (the counters keep accumulating)."""
         self._spans.clear()
-
-    def export_jsonl(self, fh: IO[str], tail: Optional[int] = None) -> int:
-        """Write the retained spans as JSON lines; returns lines written."""
-        n = 0
-        for span in self.spans(tail):
-            fh.write(json.dumps(span.to_doc(), sort_keys=True) + "\n")
-            n += 1
-        return n
 
 
 class Tracer:
@@ -346,13 +363,6 @@ class Tracer:
         self.sink_errors = 0
         self.common = dict(common_tags)
         self._ids = itertools.count(1)
-        self._local = threading.local()
-
-    def _open_stack(self) -> List[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
 
     # -- producing spans -----------------------------------------------------
 
@@ -373,11 +383,11 @@ class Tracer:
         return Span(self, name, next(self._ids), merged)
 
     def current(self) -> Optional[Span]:
-        """The innermost open span on this thread, if any."""
+        """The innermost open span of this tracer on this thread."""
         if not self.enabled:
             return None
-        stack = self._open_stack()
-        return stack[-1] if stack else None
+        state = _THREADS.get(threading.get_ident())
+        return _innermost(state.spans, self) if state is not None else None
 
     def annotate(self, **tags: Any) -> None:
         """Tag the innermost open span (no-op when disabled or idle).
@@ -407,22 +417,71 @@ class Tracer:
 Tracer.disabled = Tracer(capacity=1, enabled=False)
 
 
-def read_trace(path: str) -> List[Dict[str, Any]]:
-    """Load a ``trace.jsonl`` file written by a session's span sink.
+def tail_of(items: List[Any], n: Optional[int]) -> List[Any]:
+    """The last ``n`` of ``items``; all of them when ``n`` is ``None``
+    or negative, none when it is 0."""
+    if n is None or n < 0:
+        return items
+    return items[len(items) - min(n, len(items)):]
 
-    Unparseable lines (a torn final write under kill -9) are skipped —
-    the trace is observability, not a source of truth, so a damaged
-    tail merely loses those spans.
+
+def open_log(path: str) -> IO[str]:
+    """Open a JSON-lines log for line-buffered appending.
+
+    The one writer of ``trace.jsonl``, ``audit.jsonl`` and
+    ``router-trace.jsonl``.  Line buffering means a killed process
+    loses at most the line it was writing.  A torn last line (a crash
+    mid-write) is ended with a newline first, so the next record starts
+    a line of its own instead of being glued onto the fragment;
+    :func:`read_log` skips the fragment.
+    """
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(-1, os.SEEK_END)
+            torn = fh.read(1) != b"\n"
+    except OSError:  # missing or empty
+        torn = False
+    out = open(path, "a", encoding="utf-8", buffering=1)
+    if torn:
+        out.write("\n")
+    return out
+
+
+def _record(line: str, keys: Sequence[str]) -> Optional[Dict[str, Any]]:
+    """One line's record, or ``None`` for a torn or garbage line."""
+    try:
+        doc = json.loads(line)
+    except ValueError:
+        return None
+    if isinstance(doc, dict) and all(key in doc for key in keys):
+        return doc
+    return None
+
+
+def read_log(path: str, keys: Sequence[str],
+             tail: Optional[int] = None) -> List[Dict[str, Any]]:
+    """Load a JSON-lines log written through :func:`open_log`.
+
+    A record is a JSON object that has every one of ``keys``; any other
+    line (the fragment a crash mid-write leaves, garbage) is skipped.
+    The logs are evidence, not a recovery source, so a damaged line
+    loses that record only — the round-trip checks of
+    :mod:`repro.obs.check` are what notice a gap.  With ``tail``, the
+    records :func:`tail_of` keeps, parsing only lines at the end of the
+    file.  A missing file is an empty log.
     """
     if not os.path.exists(path):
         return []
-    out: List[Dict[str, Any]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            try:
-                doc = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(doc, dict) and "name" in doc:
-                out.append(doc)
-    return out
+        if tail is None or tail < 0:
+            return list(filter(None, (_record(line, keys) for line in fh)))
+        newest = filter(None, (_record(line, keys)
+                               for line in reversed(fh.readlines())))
+        return list(itertools.islice(newest, tail))[::-1]
+
+
+def read_trace(path: str,
+               tail: Optional[int] = None) -> List[Dict[str, Any]]:
+    """Load a span stream (``trace.jsonl``, ``router-trace.jsonl``):
+    :func:`read_log` of the records that have a ``name``."""
+    return read_log(path, ("name",), tail)

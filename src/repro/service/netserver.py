@@ -26,8 +26,7 @@ chunks, never buffered whole) and invalid UTF-8 gets the same
 normalized error instead of a mangled request — in both cases the
 connection stays up and the next request is served normally.  Rejected
 lines are counted per reason in ``repro_net_bad_lines_total`` — in the
-front's registry, so its ``_ metrics`` and ``/metrics`` serve them —
-and on :attr:`NetServer.bad_lines`.
+front's registry, so its ``_ metrics`` and ``/metrics`` serve them.
 
 :class:`LineClient` is the matching client: blocking, one in-flight
 request, safe to use from one thread at a time — tests, benchmarks, and
@@ -147,14 +146,9 @@ class NetServer:
         self._server.net = self  # type: ignore[attr-defined]
         self._shutdown_once = threading.Lock()
         self._down = False
-        #: request lines rejected before dispatch (oversized, bad UTF-8).
-        self.bad_lines = 0
-        self._bad_lock = threading.Lock()
 
     def reject_line(self, reason: str, detail: str) -> str:
         """Count one rejected request line; returns the error reply."""
-        with self._bad_lock:
-            self.bad_lines += 1
         self.front.registry.counter(
             "repro_net_bad_lines_total",
             "request lines rejected before dispatch",

@@ -146,10 +146,10 @@ def write_reply(out_stream: IO[str], text: str) -> None:
     The one framing implementation both transports share — the stdio
     loop below and the TCP handler (:mod:`repro.service.netserver`)
     write every reply through here, so a framing change cannot fork.
+    The framed reply goes out in one write: on TCP each write is its
+    own ``sendall``, and with Nagle off its own segment.
     """
-    for chunk in text.splitlines() or [""]:
-        out_stream.write(chunk + "\n")
-    out_stream.write(".\n")
+    out_stream.write("\n".join(text.splitlines()) + "\n.\n")
     out_stream.flush()
 
 
@@ -178,7 +178,7 @@ class Front:
     :class:`SessionServer` (one process) and the sharded router
     (:class:`repro.service.shard.ShardRouter`) both serve the protocol
     through :meth:`handle_line`, which times every request into the
-    ``requests`` / ``errors`` / ``deadline_exceeded`` counters, a
+    ``requests`` / ``errors`` counters, a
     rolling-window :class:`~repro.obs.slo.SloTracker` (``_ slo``; none
     when ``slo_window_s`` is ``None``, as in shard workers, whose
     router keeps the fleet's window) and,
@@ -204,7 +204,6 @@ class Front:
         self.errors = 0
         self.layer = layer
         self.deadline_ms = deadline_ms
-        self.deadline_exceeded = 0
         self.slowlog = SlowLog(
             threshold_s=None if slow_ms is None else slow_ms / 1e3)
         self.slo = SloTracker(slo_window_s) \
@@ -264,7 +263,6 @@ class Front:
         dur_ms = duration_s * 1e3
         exceeded = self.deadline_ms is not None and dur_ms > self.deadline_ms
         if exceeded:
-            self.deadline_exceeded += 1
             self.registry.counter(
                 "repro_deadline_exceeded_total",
                 "requests that blew their deadline budget").inc()
@@ -360,7 +358,8 @@ class Front:
         """The ``/healthz`` document (``ok`` decides the HTTP status)."""
         return {"ok": True, "mode": self.mode,
                 "requests": self.requests, "errors": self.errors,
-                "deadline_exceeded": self.deadline_exceeded,
+                "deadline_exceeded": int(self.registry.total(
+                    "repro_deadline_exceeded_total")),
                 **self._health_detail()}
 
     def expo_varz(self) -> Dict[str, Any]:
@@ -463,8 +462,8 @@ class SessionServer(Front):
             if verb == "trace":
                 tail = int(args[0]) if args else None
                 spans = session.tracer.recorder.spans(tail)
-                return "\n".join(json.dumps(s.to_doc(), sort_keys=True)
-                                 for s in spans) or "(no spans)"
+                return "\n".join(s.to_line() for s in spans) \
+                    or "(no spans)"
             if verb == "explain":
                 stamp = int(args[0])
                 mode = args[1] if len(args) > 1 else ""

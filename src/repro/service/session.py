@@ -35,7 +35,7 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import IO, Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.commands import BatchResult, Command, EditCommand
 from repro.core.engine import TransformationEngine
@@ -51,7 +51,7 @@ from repro.obs.check import trace_path
 from repro.obs.metrics import Histogram, MetricsRegistry, registry_views
 from repro.obs.provenance import (audit_entry, audit_path, entry_events,
                                   read_audit)
-from repro.obs.trace import Span, Tracer, annotate_request
+from repro.obs.trace import Span, Tracer, annotate_request, open_log
 from repro.service.journal import Journal, scan_journal
 from repro.service.recovery import (
     JOURNAL_FILE,
@@ -88,25 +88,6 @@ def _subtree_sids(stmt: Stmt) -> List[int]:
     for slot in stmt.body_slots():
         for child in stmt.get_body(slot):
             out.extend(_subtree_sids(child))
-    return out
-
-
-def _open_log(path: str) -> IO[str]:
-    """Open a JSON-lines log for line-buffered appending.
-
-    A torn last line (a crash mid-write) is ended with a newline first,
-    so the next entry starts a line of its own instead of being glued
-    onto the fragment; readers skip the fragment.
-    """
-    try:
-        with open(path, "rb") as fh:
-            fh.seek(-1, os.SEEK_END)
-            torn = fh.read(1) != b"\n"
-    except OSError:  # missing or empty
-        torn = False
-    out = open(path, "a", encoding="utf-8", buffering=1)
-    if torn:
-        out.write("\n")
     return out
 
 
@@ -176,15 +157,11 @@ class DurableSession:
         #: top-level command spans via the span sink; surfaces as the
         #: p50/p95 figures in :meth:`metrics`.
         self._latency = Histogram("command_seconds")
-        # stream every completed span to trace.jsonl (line-buffered so a
-        # killed process loses at most the current line; read back with
-        # repro.obs.trace.read_trace, which skips a torn tail)
-        self._trace_fh = _open_log(trace_path(dirpath))
+        self._trace_fh = open_log(trace_path(dirpath))
         # the append-only audit log: one schema-versioned entry per
-        # journaled command, carrying the provenance tree (same torn-line
-        # discipline as the trace stream; cross-checked against the
-        # journal by repro.obs.check.audit_roundtrip)
-        self._audit_fh = _open_log(audit_path(dirpath))
+        # journaled command, carrying the provenance tree (cross-checked
+        # against the journal by repro.obs.check.audit_roundtrip)
+        self._audit_fh = open_log(audit_path(dirpath))
         #: audit entries written by this handle (mirrors journal appends).
         self.audit_entries = 0
         # active stamp -> its audit events (entry_events): explain reads
@@ -280,7 +257,7 @@ class DurableSession:
         by the tracer (``Tracer.sink_errors``), so a full disk degrades
         telemetry, never command execution.
         """
-        self._trace_fh.write(json.dumps(span.to_doc(), sort_keys=True) + "\n")
+        self._trace_fh.write(span.to_line() + "\n")
         if span.parent_id is None and span.name == "command":
             # the request tag (when the command ran under a request
             # context) rides along as the bucket's exemplar, so a slow

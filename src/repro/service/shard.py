@@ -60,7 +60,8 @@ from repro.obs.metrics import (
 )
 from repro.obs.profiler import merge_folded
 from repro.obs.slowlog import SlowLog
-from repro.obs.trace import Tracer, current_request, request_context
+from repro.obs.trace import (Tracer, current_request, open_log,
+                             request_context)
 from repro.service.server import (
     BAD_SHAPE,
     ERROR_PREFIX,
@@ -301,11 +302,9 @@ class ShardRouter(Front):
         #: trace, joined with per-session worker traces by request id.
         os.makedirs(root, exist_ok=True)
         self.tracer = Tracer(service="router")
-        self._trace_fh = open(router_trace_path(root), "a",
-                              encoding="utf-8", buffering=1)
+        self._trace_fh = open_log(router_trace_path(root))
         self.tracer.sinks.append(
-            lambda span: self._trace_fh.write(
-                json.dumps(span.to_doc(), sort_keys=True) + "\n"))
+            lambda span: self._trace_fh.write(span.to_line() + "\n"))
         server_kwargs = {"slow_ms": slow_ms}
         self.workers: List[ShardWorker] = [
             ShardWorker(k, root, manager_kwargs, server_kwargs)

@@ -198,30 +198,35 @@ class TestAcceptanceCriterion:
     """ISSUE 1: <25% of the pairs, measurably faster, on ≥200 statements."""
 
     def test_undo_update_beats_from_scratch(self):
-        program = generate_program(42, GeneratorConfig(blocks=35))
         from repro.core.engine import TransformationEngine
 
-        engine = TransformationEngine(program)
-        n_stmts = len(list(program.walk()))
-        assert n_stmts >= 200
-        applied = apply_greedy(engine, 4, seed=43)
-        assert applied
-        cache = engine.cache
-        cache.dependences()
-        c0 = cache.counters.snapshot()
-        engine.undo(applied[-1])
-        c1 = cache.counters.snapshot()
-        baseline = analyze_dependences(engine.program)
-        examined = c1["incremental_pairs"] - c0["incremental_pairs"]
-        updates = c1["incremental_updates"] - c0["incremental_updates"]
-        assert updates >= 1
-        # < 25% of the pairs a from-scratch run visits (per update)
-        assert examined < 0.25 * updates * baseline.visited_pairs
+        # wall-clock timers: each side is the minimum over fresh engines
+        # built from the same seeds, so one descheduled run under host
+        # load cannot decide the comparison
+        full_avgs, upd_avgs = [], []
+        for _ in range(5):
+            program = generate_program(42, GeneratorConfig(blocks=35))
+            engine = TransformationEngine(program)
+            n_stmts = len(list(program.walk()))
+            assert n_stmts >= 200
+            applied = apply_greedy(engine, 4, seed=43)
+            assert applied
+            cache = engine.cache
+            cache.dependences()
+            c0 = cache.counters.snapshot()
+            engine.undo(applied[-1])
+            c1 = cache.counters.snapshot()
+            baseline = analyze_dependences(engine.program)
+            examined = c1["incremental_pairs"] - c0["incremental_pairs"]
+            updates = c1["incremental_updates"] - c0["incremental_updates"]
+            assert updates >= 1
+            # < 25% of the pairs a from-scratch run visits (per update)
+            assert examined < 0.25 * updates * baseline.visited_pairs
+            full_avgs.append(c1["timers"]["dependence_full"] /
+                             max(c1["dependence_runs"], 1))
+            upd_avgs.append(c1["timers"]["dependence_update"] / updates)
         # and measurably faster by the wall-clock timers (per run)
-        full_avg = (c1["timers"]["dependence_full"] /
-                    max(c1["dependence_runs"], 1))
-        upd_avg = c1["timers"]["dependence_update"] / updates
-        assert upd_avg < full_avg
+        assert min(upd_avgs) < min(full_avgs)
 
 
 def consulting_dependences(spec):

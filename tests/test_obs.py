@@ -91,6 +91,23 @@ class TestSpans:
         # the other thread's span must NOT nest under this thread's
         assert seen["other"] is None
 
+    def test_two_tracers_nested_on_one_thread_keep_separate_trees(self):
+        a, b = Tracer(), Tracer()
+        with a.span("a_outer") as a_outer:
+            with a.span("a_inner") as a_inner:
+                with b.span("b_span") as b_span:
+                    assert b_span.parent_id is None
+                    assert a.current() is a_inner
+                    assert b.current() is b_span
+                    a.annotate(seq=3)
+                    b.annotate(origin="b")
+                assert b.current() is None
+            assert a_inner.parent_id == a_outer.span_id
+        assert a_inner.tags["seq"] == 3 and "seq" not in b_span.tags
+        assert b_span.tags["origin"] == "b"
+        assert "origin" not in a_inner.tags
+        assert a.current() is None and b.current() is None
+
     def test_disabled_tracer_is_free_and_silent(self):
         d = Tracer.disabled
         span = d.span("anything", op="x")
@@ -140,16 +157,6 @@ class TestFlightRecorder:
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             FlightRecorder(capacity=0)
-
-    def test_export_jsonl(self, tmp_path):
-        tracer = Tracer()
-        with tracer.span("cmd", op="apply"):
-            pass
-        path = tmp_path / "out.jsonl"
-        with open(path, "w") as fh:
-            n = tracer.recorder.export_jsonl(fh)
-        assert n == 1
-        assert read_trace(str(path))[0]["tags"]["op"] == "apply"
 
 
 class TestSinks:

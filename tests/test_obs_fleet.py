@@ -57,6 +57,7 @@ from repro.obs.trace import (
     annotate_request,
     current_request,
     new_request_id,
+    read_trace,
     request_context,
 )
 from repro.service.netserver import MAX_LINE_BYTES, LineClient, NetServer
@@ -466,9 +467,9 @@ class TestServerForensics:
         out = srv.handle_line(f"a init {srv.prog}")
         assert out.splitlines()[0] == "created a"
         assert DEADLINE_FLAG in out.splitlines()[1]
-        assert srv.deadline_exceeded == 1
         assert srv.registry.value("repro_deadline_exceeded_total") == \
             before + 1
+        assert srv.expo_health()["deadline_exceeded"] == before + 1
         assert json.loads(srv.handle_line("_ slo").splitlines()[0])[
             "deadline_exceeded"] >= 1
         # deadline breaches are always recorded, even with the slow log
@@ -788,6 +789,28 @@ class TestFleetCollection:
         # the router sees the end-to-end time, including the pipe hop
         assert router_entry["dur_ms"] >= worker_entries[0]["dur_ms"]
 
+    def test_torn_router_trace_keeps_the_next_route_span(self, tmp_path):
+        # a router killed mid-write leaves a fragment with no newline;
+        # the next router's first route span must not be glued onto it
+        prog = tmp_path / "p.loop"
+        prog.write_text(SRC)
+        root = str(tmp_path / "fleet")
+        with ShardRouter(root, 1) as router:
+            assert router.handle_line(f"a init {prog}") == "created a"
+        path = router_trace_path(root)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"name": "route", "id": 7, "tags": {"requ')
+        with ShardRouter(root, 1) as router:
+            with request_context() as ctx:
+                out = router.handle_line("a apply ctp 0")
+                assert out.startswith("applied"), out
+        routed = [s["tags"].get("request") for s in read_trace(path)
+                  if s["name"] == "route"]
+        assert ctx["request"] in routed
+        report = fleet_roundtrip(root)
+        assert report.ok, report.describe()
+        assert report.command_spans == 1
+
     def test_router_health_doc(self, tmp_path):
         prog = tmp_path / "p.loop"
         prog.write_text(SRC)
@@ -919,7 +942,6 @@ class TestNetHardening:
             assert self._reply(fh) == "created a"
         finally:
             sock.close()
-        assert net.bad_lines == 1
         assert registry.total("repro_net_bad_lines_total") == before + 1
 
     def test_invalid_utf8_is_rejected_connection_survives(self, served):
@@ -935,7 +957,7 @@ class TestNetHardening:
             assert self._reply(fh) == "created a"
         finally:
             sock.close()
-        assert net.bad_lines == 1
+        assert net.front.registry.total("repro_net_bad_lines_total") == 1
 
     def test_exactly_max_line_is_served(self, served):
         net, _prog = served
@@ -950,4 +972,4 @@ class TestNetHardening:
             assert "bad-request" not in out
         finally:
             sock.close()
-        assert net.bad_lines == 0
+        assert net.front.registry.total("repro_net_bad_lines_total") == 0

@@ -15,8 +15,9 @@ import time
 
 import pytest
 
-from repro.service.netserver import LineClient, NetServer
-from repro.service.server import ERROR_PREFIX, SessionServer, error_reply
+from repro.service.netserver import LineClient, NetServer, _TextOut
+from repro.service.server import (ERROR_PREFIX, SessionServer, error_reply,
+                                  write_reply)
 from repro.service.session import SessionManager
 
 SRC = "c = 1\nx = c + 2\nwrite x\n"
@@ -25,6 +26,28 @@ STAMP_RE = re.compile(r"t(\d+)")
 
 #: the pinned error shape: prefix, lowercase kind, colon, detail.
 ERROR_FORM = re.compile(r"^error: [a-z-]+: \S")
+
+
+class _CountingWfile:
+    """Stands in for the handler's unbuffered socket file: every write
+    would be one ``sendall``."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(data)
+
+    def flush(self):
+        pass
+
+
+def test_each_reply_is_one_write_with_unchanged_bytes():
+    wfile = _CountingWfile()
+    out = _TextOut(wfile)
+    for text in ("", "one", "a\nb\nc"):
+        write_reply(out, text)
+    assert wfile.writes == [b"\n.\n", b"one\n.\n", b"a\nb\nc\n.\n"]
 
 
 @pytest.fixture()
