@@ -346,7 +346,9 @@ def test_e10_dataflow_decode():
                 for k in range(DATAFLOW_PROGRAMS)]
     lazy_s = eager_s = 0.0
     for program in programs:
-        analyze_dataflow(program)  # warm the per-statement memos
+        # untimed warm-up; every run still derives each statement's
+        # local facts afresh (no index: the from-scratch baseline)
+        analyze_dataflow(program)
         _, dt = _timed(lambda: analyze_dataflow(program))
         lazy_s += dt
 

@@ -77,15 +77,21 @@ def test_e1_scaling_table():
     assert rows[-1][3] > 0  # the space coordinate actually skipped work
 
 
+def analysis_work(c) -> int:
+    """Data-flow nodes visited, by from-scratch runs and regional
+    updates alike, plus dependence pairs examined by from-scratch runs
+    (E1c compares the regional dependence update's pairs)."""
+    return c.dataflow_nodes + c.dataflow_update_nodes + c.dependence_pairs
+
+
 def undo_analysis_work(n: int, strategy: UndoStrategy):
     """Analysis work (dataflow nodes + dependence pairs) performed while
     servicing one undo, excluding the session-construction work."""
     session = build_session(SEED, n, strategy)
     c = session.engine.cache.counters
-    before = c.dataflow_nodes + c.dependence_pairs
+    before = analysis_work(c)
     session.engine.undo(session.applied[0])
-    after = c.dataflow_nodes + c.dependence_pairs
-    return after - before
+    return analysis_work(c) - before
 
 
 def test_e1_incremental_analysis_work():
@@ -149,6 +155,54 @@ def test_e1_measured_update_time():
         pairs_saved = fp / max(rp, 1)
     t.show()
     REPORT.value("update_pairs_saved_at_max", round(pairs_saved, 2))
+
+
+def undo_dataflow_timings(n: int, strategy_name: str):
+    """(facts computations, seconds) the data-flow facts cost while one
+    undo is serviced under ``strategy_name``: regional updates carried
+    forward from the previous facts, or from-scratch runs."""
+    session = build_session(
+        SEED, n, UndoStrategy(incremental_strategy=strategy_name))
+    engine = session.engine
+    cache = engine.cache
+    cache.dataflow()  # materialize so the undo's reads patch it
+    c0 = cache.counters.snapshot()
+    engine.undo(session.applied[0])
+    cache.dataflow()
+    c1 = cache.counters.snapshot()
+    key, count = (("dataflow_update", "dataflow_updates")
+                  if strategy_name == REGIONAL
+                  else ("dataflow", "dataflow_runs"))
+    secs = c1["timers"].get(key, 0.0) - c0["timers"].get(key, 0.0)
+    return c1[count] - c0[count], secs
+
+
+def test_e1_measured_dataflow_update_time():
+    """E1d — the data-flow facts after each undo step: carried forward
+    regionally (only the blocks a changed block's facts flow into are
+    re-solved) vs re-run from scratch.  Each side is the best of three
+    sessions, so one descheduled run cannot decide the ratio."""
+    banner("E1d — measured data-flow update time: "
+           "regional strategy vs from-scratch strategy")
+    t = REPORT.table(["n transforms", "regional updates", "full runs",
+                      "regional ms/update", "full ms/run", "speedup"],
+                     title="E1d — data-flow update cost, regional vs full")
+    per_update = per_run = 0.0
+    for n in SIZES:
+        reg = min((undo_dataflow_timings(n, REGIONAL) for _ in range(3)),
+                  key=lambda r: r[1] / max(r[0], 1))
+        full = min((undo_dataflow_timings(n, FULL) for _ in range(3)),
+                   key=lambda r: r[1] / max(r[0], 1))
+        assert reg[0] >= 1 and full[0] >= 1
+        per_update, per_run = reg[1] / reg[0], full[1] / full[0]
+        t.add(n, reg[0], full[0], ms(per_update), ms(per_run),
+              ratio(per_run, per_update))
+    t.show()
+    REPORT.value("dataflow_update_ms", round(1e3 * per_update, 3))
+    REPORT.value("dataflow_full_ms", round(1e3 * per_run, 3))
+    # gated by scripts/check_e10_gates.py: at the largest size, carrying
+    # the facts forward must beat re-running the analysis
+    REPORT.value("dataflow_update_speedup", round(per_run / per_update, 2))
 
 
 @pytest.mark.benchmark(group="e1")

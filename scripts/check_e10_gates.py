@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Assert the E10 compact-core benchmark cleared its performance gates.
 
-Reads ``benchmarks/output/bench_e10_compact.json`` (written by a quick-
-or full-mode run of ``benchmarks/bench_e10_compact.py``) and fails the
-build unless
+Reads ``benchmarks/output/bench_e10_compact.json`` and
+``benchmarks/output/bench_e1_regional.json`` (written by quick- or
+full-mode runs of ``benchmarks/bench_e10_compact.py`` and
+``benchmarks/bench_e1_regional.py``) and fails the build unless
 
 * ``fingerprint_incremental_speedup > 1.0`` — maintaining the state
   fingerprint incrementally beats re-hashing the engine from scratch;
@@ -14,7 +15,10 @@ build unless
   whole history;
 * ``explain_index_speedup > 1.0`` — at the longest session measured,
   ``explain`` reads one stamp's indexed rows faster than it could
-  re-read the whole audit file.
+  re-read the whole audit file;
+* ``dataflow_update_speedup > 1.0`` (E1) — at the largest session
+  measured, carrying the data-flow facts forward after an undo beats
+  re-running the analysis from scratch.
 
 These are the regressions the compact core exists to prevent: if any
 gate fails, an O(delta) path has silently degraded to the O(state)
@@ -29,30 +33,33 @@ import json
 import sys
 from pathlib import Path
 
-REPORT = (Path(__file__).resolve().parent.parent
-          / "benchmarks" / "output" / "bench_e10_compact.json")
+OUT = Path(__file__).resolve().parent.parent / "benchmarks" / "output"
 
+#: (bench module, value, comparison, bound)
 GATES = [
-    ("fingerprint_incremental_speedup", "gt", 1.0),
-    ("delta_snapshot_bytes_ratio", "lt", 1.0),
-    ("orderer_fold_speedup", "gt", 1.0),
-    ("explain_index_speedup", "gt", 1.0),
+    ("bench_e10_compact", "fingerprint_incremental_speedup", "gt", 1.0),
+    ("bench_e10_compact", "delta_snapshot_bytes_ratio", "lt", 1.0),
+    ("bench_e10_compact", "orderer_fold_speedup", "gt", 1.0),
+    ("bench_e10_compact", "explain_index_speedup", "gt", 1.0),
+    ("bench_e1_regional", "dataflow_update_speedup", "gt", 1.0),
 ]
 
 
 def main() -> int:
-    try:
-        doc = json.loads(REPORT.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        print(f"cannot read {REPORT}: {exc}", file=sys.stderr)
-        print("run the benchmark first: REPRO_BENCH_QUICK=1 PYTHONPATH=src "
-              "python -m pytest benchmarks/bench_e10_compact.py -q",
-              file=sys.stderr)
-        return 1
-    values = doc.get("values", {})
+    reports = {}
+    for bench in sorted({g[0] for g in GATES}):
+        path = OUT / f"{bench}.json"
+        try:
+            reports[bench] = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            print(f"cannot read {path}: {exc}", file=sys.stderr)
+            print("run the benchmark first: REPRO_BENCH_QUICK=1 "
+                  f"PYTHONPATH=src python -m pytest benchmarks/{bench}.py "
+                  "-q", file=sys.stderr)
+            return 1
     problems = []
-    for key, op, bound in GATES:
-        got = values.get(key)
+    for bench, key, op, bound in GATES:
+        got = reports[bench].get("values", {}).get(key)
         if not isinstance(got, (int, float)) or isinstance(got, bool):
             problems.append(f"{key}: missing or non-numeric ({got!r})")
             continue

@@ -6,7 +6,8 @@ parallelizing compiler analysis stack; this package provides it:
 * :mod:`repro.analysis.cfg` — basic blocks, control-flow graph, dominators
   (the low-level backbone).
 * :mod:`repro.analysis.dataflow` — reaching definitions, liveness,
-  available expressions, def-use chains (iterative bit-vector style).
+  available expressions (iterative bit-vector style, re-solved only
+  where a change reaches).
 * :mod:`repro.analysis.dag` — value-numbering DAG per basic block (the
   paper's low-level representation; becomes the ADAG when annotated).
 * :mod:`repro.analysis.depend` — data-dependence analysis with subscript

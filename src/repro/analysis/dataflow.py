@@ -4,8 +4,9 @@ Provides the flow facts the transformations' preconditions and the undo
 engine's safety re-checks need:
 
 * **Reaching definitions** (forward, may) — constant/copy propagation
-  legality, def-use chains.
-* **Liveness** (backward, may) — dead-code elimination legality.
+  legality.
+* **Liveness** (backward, may) and the used-definitions mask —
+  dead-code elimination legality.
 * **Available expressions** (forward, must) — common-subexpression
   elimination legality.
 
@@ -13,106 +14,37 @@ Scalars are tracked precisely; arrays are tracked at array granularity
 (an element store *generates* a definition but kills nothing; an element
 load uses the whole array).  Subscript-precise reasoning lives in
 :mod:`repro.analysis.depend`.
+
+Every position is stable across program versions: a definition is bit
+``sid`` (a statement defines at most one name), and names and
+expression keys take positions from a grow-only :class:`FlowUniverse`.
+That is what lets :func:`update_dataflow` keep the facts of every block
+an event batch cannot reach and re-iterate only the rest — the data-flow
+half of Figure 4's line-13 "dependence and data flow update".
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
-                    Tuple)
+from functools import cached_property
+from typing import (Callable, Dict, FrozenSet, Iterator, List,
+                    NamedTuple, Optional, Sequence, Set, Tuple)
 
 from repro.analysis.cfg import CFG, build_cfg
 from repro.lang.ast_nodes import (
-    ArrayRef,
     Assign,
     BinOp,
     Const,
+    DefUse,
     Expr,
-    IfStmt,
-    Loop,
     Program,
-    ReadStmt,
     Stmt,
     VarRef,
-    WriteStmt,
     stmt_defuse,
 )
 
 #: A definition: (sid, name).  Array names are prefixed with ``"@"``.
 Definition = Tuple[int, str]
-
-
-def _aname(name: str) -> str:
-    return "@" + name
-
-
-class BitsetFacts(Mapping):
-    """Read-only ``sid → frozenset`` view over per-statement bitsets
-    (bit ``i`` ↔ ``universe[i]``), decoded per sid on first read and
-    memoised: consumers read a few sids per run, not every statement."""
-
-    def __init__(self, bits: Dict[int, int], universe: Sequence) -> None:
-        self._bits = bits
-        self._universe = universe
-        self._decoded: Dict[int, FrozenSet] = {}
-
-    def __getitem__(self, sid: int) -> FrozenSet:
-        out = self._decoded.get(sid)
-        if out is None:
-            universe = self._universe
-            out = frozenset(universe[i] for i in iter_bits(self._bits[sid]))
-            self._decoded[sid] = out
-        return out
-
-    def __contains__(self, sid: object) -> bool:
-        return sid in self._bits
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._bits)
-
-    def __len__(self) -> int:
-        return len(self._bits)
-
-
-@dataclass
-class DataflowResult:
-    """All flow facts for one program snapshot."""
-
-    cfg: CFG
-    #: definitions reaching the *entry* of each statement.
-    reach_in: Mapping[int, FrozenSet[Definition]]
-    #: scalar/array names live *after* each statement.
-    live_out: Mapping[int, FrozenSet[str]]
-    #: available expression keys at the entry of each statement.
-    avail_in: Mapping[int, FrozenSet[Tuple]]
-    #: def-use chains: definition → sids of statements using it.
-    du_chains: Dict[Definition, FrozenSet[int]]
-    #: use-def chains: (use sid, name) → sids of reaching definitions.
-    ud_chains: Dict[Tuple[int, str], FrozenSet[int]]
-    #: nodes visited while computing (instrumentation).
-    visited_nodes: int = 0
-
-    # -- convenience queries -------------------------------------------------
-
-    def is_dead(self, sid: int, name: str) -> bool:
-        """True when the value defined for ``name`` at ``sid`` has no use."""
-        return not self.du_chains.get((sid, name), frozenset())
-
-    def sole_reaching_def(self, use_sid: int, name: str) -> Optional[int]:
-        """The unique definition reaching a use, or ``None``."""
-        defs = self.ud_chains.get((use_sid, name), frozenset())
-        if len(defs) == 1:
-            return next(iter(defs))
-        return None
-
-
-def _stmt_facts(stmt: Stmt) -> Tuple[Set[str], Set[str]]:
-    """(names defined, names used) with array names ``@``-prefixed."""
-    du = stmt_defuse(stmt)
-    defs = set(du.defs) | {_aname(a) for a in du.array_defs}
-    uses = set(du.uses) | {_aname(a) for a in du.array_uses}
-    return defs, uses
 
 
 def expr_key(e: Expr) -> Optional[Tuple]:
@@ -139,14 +71,6 @@ def expr_key(e: Expr) -> Optional[Tuple]:
     return (e.op, l, r)
 
 
-def _expr_operand_names(key: Tuple) -> Set[str]:
-    out = set()
-    for tag, val in (key[1], key[2]):
-        if tag == "v":
-            out.add(val)
-    return out
-
-
 def iter_bits(bits: int):
     """Indices of the set bits of ``bits``, ascending."""
     while bits:
@@ -155,231 +79,454 @@ def iter_bits(bits: int):
         bits &= bits - 1
 
 
-def analyze_dataflow(program: Program, cfg: Optional[CFG] = None) -> DataflowResult:
-    """Run all three analyses and build the chains.
+class FlowFacts(NamedTuple):
+    """One statement's local data-flow facts (immutable).
+
+    ``def_name`` is the one name the statement defines (``@``-prefixed
+    for an array), ``kills`` whether that is a scalar, which kills the
+    name's other definitions.  The bit fields are positions in the
+    :class:`FlowUniverse` that made them.
+    """
+
+    def_name: Optional[str]
+    kills: bool
+    uses: FrozenSet[str]
+    key: Optional[Tuple]
+    #: liveness: the names the statement uses / the scalar it kills.
+    live_gen: int
+    live_kill: int
+    #: availability: the bit of the expression key it evaluates.
+    key_bit: int
+
+
+class FlowUniverse:
+    """Grow-only bit positions for liveness names and expression keys.
+
+    A position never changes meaning once given, so facts computed at
+    one program version stay valid bits at the next.  ``op_kill[n]``
+    holds every key with ``n`` as an operand: a scalar definition of
+    ``n`` makes them unavailable.
+    """
+
+    def __init__(self) -> None:
+        self.names: List[str] = []
+        self.name_bit: Dict[str, int] = {}
+        self.keys: List[Tuple] = []
+        self.key_bit: Dict[Tuple, int] = {}
+        self.op_kill: Dict[str, int] = {}
+
+    def _name(self, name: str) -> int:
+        bit = self.name_bit.get(name)
+        if bit is None:
+            bit = self.name_bit[name] = 1 << len(self.names)
+            self.names.append(name)
+        return bit
+
+    def _key(self, key: Tuple) -> int:
+        bit = self.key_bit.get(key)
+        if bit is None:
+            bit = self.key_bit[key] = 1 << len(self.keys)
+            self.keys.append(key)
+            for tag, val in (key[1], key[2]):
+                if tag == "v":
+                    self.op_kill[val] = self.op_kill.get(val, 0) | bit
+        return bit
+
+    def all_keys(self) -> int:
+        """Every key position given so far (availability's top)."""
+        return (1 << len(self.keys)) - 1
+
+    def facts(self, stmt: Stmt, du: Optional[DefUse] = None) -> FlowFacts:
+        """The local facts of ``stmt`` (``du``: its ``stmt_defuse``)."""
+        if du is None:
+            du = stmt_defuse(stmt)
+        defs = list(du.defs) + ["@" + a for a in du.array_defs]
+        assert len(defs) <= 1, f"S{stmt.sid} defines {defs}"
+        def_name = defs[0] if defs else None
+        kills = bool(du.defs)
+        uses = frozenset(du.uses) | {"@" + a for a in du.array_uses}
+        live_gen = 0
+        for n in uses:
+            live_gen |= self._name(n)
+        live_kill = self._name(def_name) if kills else 0
+        key = expr_key(stmt.expr) if isinstance(stmt, Assign) else None
+        return FlowFacts(def_name, kills, uses, key, live_gen, live_kill,
+                         self._key(key) if key is not None else 0)
+
+
+class BitsetFacts(Mapping):
+    """Read-only ``sid → frozenset`` view over per-statement bitsets
+    (bit ``i`` ↔ ``universe[i]``), decoded per sid on first read and
+    memoised: consumers read a few sids per run, not every statement."""
+
+    def __init__(self, bits: Dict[int, int], universe: Sequence) -> None:
+        self._bits = bits
+        self._universe = universe
+        self._decoded: Dict[int, FrozenSet] = {}
+
+    def _decode(self, bits: int) -> FrozenSet:
+        universe = self._universe
+        return frozenset(universe[i] for i in iter_bits(bits))
+
+    def __getitem__(self, sid: int) -> FrozenSet:
+        out = self._decoded.get(sid)
+        if out is None:
+            out = self._decoded[sid] = self._decode(self._bits[sid])
+        return out
+
+    def __contains__(self, sid: object) -> bool:
+        return sid in self._bits
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._bits)
+
+    def __len__(self) -> int:
+        return len(self._bits)
+
+
+class _ReachFacts(BitsetFacts):
+    """Reaching definitions: bit ``i`` is statement ``i``'s definition,
+    named through the per-name definition masks."""
+
+    def _decode(self, bits: int) -> FrozenSet:
+        return frozenset((i, name) for name, mask in self._universe.items()
+                         for i in iter_bits(bits & mask))
+
+
+class _Block(NamedTuple):
+    """What one block's facts were derived from, and the facts: each
+    analysis' values flowing into and out of the block, in its own
+    direction (for liveness, live after the block, then before it)."""
+
+    sids: Tuple[int, ...]
+    facts: Tuple[FlowFacts, ...]
+    preds: Tuple[Tuple, ...]
+    succs: Tuple[Tuple, ...]
+    rd: Tuple[int, int]
+    lv: Tuple[int, int]
+    av: Tuple[int, int]
+
+
+class DataflowResult:
+    """All flow facts for one program version.
+
+    The per-statement facts are bitsets; :attr:`reach_in`,
+    :attr:`live_out` and :attr:`avail_in` decode a statement's set on
+    first read; :meth:`reaching`, :meth:`available` and :meth:`is_dead`
+    read only the bits they ask about.
+    """
+
+    def __init__(self, universe: FlowUniverse, def_masks: Dict[str, int],
+                 blocks: Dict[Tuple, _Block], reach_bits: Dict[int, int],
+                 live_bits: Dict[int, int], avail_bits: Dict[int, int],
+                 visited_nodes: int) -> None:
+        self.universe = universe
+        #: name → bits of the statements defining it, at this version.
+        self.def_masks = def_masks
+        self.blocks = blocks
+        self.reach_bits = reach_bits
+        self.live_bits = live_bits
+        self.avail_bits = avail_bits
+        #: nodes visited while computing (instrumentation).
+        self.visited_nodes = visited_nodes
+
+    @cached_property
+    def reach_in(self) -> Mapping:
+        """Definitions reaching the *entry* of each statement."""
+        return _ReachFacts(self.reach_bits, self.def_masks)
+
+    @cached_property
+    def live_out(self) -> Mapping:
+        """Scalar/array names live *after* each statement."""
+        return BitsetFacts(self.live_bits, self.universe.names)
+
+    @cached_property
+    def avail_in(self) -> Mapping:
+        """Available expression keys at the entry of each statement."""
+        return BitsetFacts(self.avail_bits, self.universe.keys)
+
+    @cached_property
+    def _used_defs(self) -> int:
+        """Bits of every definition some statement uses."""
+        masks = self.def_masks
+        reach = self.reach_bits
+        used = 0
+        for block in self.blocks.values():
+            for sid, f in zip(block.sids, block.facts):
+                for name in f.uses:
+                    used |= reach[sid] & masks.get(name, 0)
+        return used
+
+    # -- queries -------------------------------------------------------------
+
+    def reaching(self, sid: int, name: str) -> FrozenSet[Definition]:
+        """The definitions of ``name`` reaching the entry of ``sid``."""
+        bits = self.reach_bits.get(sid, 0) & self.def_masks.get(name, 0)
+        return frozenset((i, name) for i in iter_bits(bits))
+
+    def available(self, sid: int, key: Tuple) -> bool:
+        """Whether expression ``key`` is available at the entry of ``sid``."""
+        return bool(self.avail_bits.get(sid, 0)
+                    & self.universe.key_bit.get(key, 0))
+
+    def is_dead(self, sid: int, name: str) -> bool:
+        """True when the value defined for ``name`` at ``sid`` has no use."""
+        return not (self._used_defs & self.def_masks.get(name, 0)
+                    & (1 << sid))
+
+
+def _fixpoint(cfg: CFG, forward: bool, top: Optional[int], dirty: Set[int],
+              old: Dict[int, Optional[Tuple[int, int]]],
+              transfer: Callable[[int], Tuple[int, int]]
+              ) -> Tuple[Dict[int, Tuple[int, int]], List[int], int]:
+    """One gen/kill fixpoint, re-solved only where it can have changed.
+
+    Values are ``(into, out of)`` each block in the flow's direction;
+    ``old`` holds the previous version's, ``None`` for a new block.
+    The CFG's components (an outermost loop, or one block outside every
+    loop) are visited in flow order.  A component is re-solved from the
+    bottom (``0`` for a may analysis, whose meet is union; ``top``, the
+    universe, for a must one, whose meet is intersection) when it
+    holds a ``dirty`` block or a value flowing into it from outside
+    changed; otherwise its values depend on nothing that changed and
+    are kept.  Returns the values, the blocks whose statement-level
+    facts must be re-derived, and the blocks visited.
+    """
+    blocks = cfg.blocks
+    units = cfg.components()
+    vals = dict(old)
+    moved: Set[int] = set()  # blocks whose outgoing value changed
+    rewalk: List[int] = []
+    visited = 0
+    init = top or 0
+    for members in (units if forward else reversed(units)):
+        if not forward:
+            members = members[::-1]
+        sources = [blocks[b].preds if forward else blocks[b].succs
+                   for b in members]
+        need = not dirty.isdisjoint(members)
+        if not need and moved:
+            need = any(s in moved for srcs in sources for s in srcs)
+        if not need:
+            continue
+        gk = [transfer(b) for b in members]
+        for b, (gen, kill) in zip(members, gk):
+            vals[b] = (init, gen | (init & ~kill))
+        cyclic = len(members) > 1 or members[0] in sources[0]
+        changed = True
+        while changed:
+            changed = False
+            for b, srcs, (gen, kill) in zip(members, sources, gk):
+                visited += 1
+                if not srcs:
+                    into = 0
+                elif top is not None:
+                    into = top
+                    for s in srcs:
+                        into &= vals[s][1]
+                else:
+                    into = 0
+                    for s in srcs:
+                        into |= vals[s][1]
+                now = (into, gen | (into & ~kill))
+                if now != vals[b]:
+                    vals[b] = now
+                    changed = cyclic
+        for b in members:
+            was = old[b]
+            if was is None or vals[b][1] != was[1]:
+                moved.add(b)
+            if was is None or b in dirty or vals[b][0] != was[0]:
+                rewalk.append(b)
+    return vals, rewalk, visited
+
+
+def _solve(cfg: CFG, flows: Mapping[int, FlowFacts],
+           universe: FlowUniverse, def_masks: Dict[str, int],
+           prev: Optional[DataflowResult]) -> DataflowResult:
+    """The three fixpoints over ``cfg``, reusing ``prev`` where sound.
+
+    A block is *dirty* for an analysis when it has no counterpart in
+    ``prev`` (same :attr:`~repro.analysis.cfg.BasicBlock.key`, same
+    statements) or when its transfer function or its incoming edges
+    (outgoing, for liveness) changed.  A block's fixpoint value depends
+    only on the blocks that reach it (that it reaches, for liveness), so
+    :func:`_fixpoint` re-solves only the components a dirty block or a
+    changed value flows into; every other block keeps ``prev``'s facts.
+    With no ``prev`` every block is dirty.
+    """
+    blocks = cfg.blocks
+    old = prev.blocks if prev is not None else {}
+    key_of = {bid: b.key for bid, b in blocks.items()}.__getitem__
+    flow_of = flows.__getitem__
+    shape: Dict[int, Tuple] = {}
+    matched: Dict[int, Optional[_Block]] = {}
+    dirty_rd: Set[int] = set()
+    dirty_lv: Set[int] = set()
+    dirty_av: Set[int] = set()
+    for bid, b in blocks.items():
+        sids = tuple(b.stmts)
+        facts = tuple(map(flow_of, sids))
+        preds = tuple(map(key_of, b.preds))
+        succs = tuple(map(key_of, b.succs))
+        shape[bid] = (sids, facts, preds, succs)
+        o = matched[bid] = old.get(b.key)
+        if o is None or o.sids != sids:
+            dirty_rd.add(bid)
+            dirty_lv.add(bid)
+            dirty_av.add(bid)
+            continue
+        if o.preds != preds:
+            dirty_rd.add(bid)
+            dirty_av.add(bid)
+        if o.succs != succs:
+            dirty_lv.add(bid)
+        for was, now in zip(o.facts, facts):
+            if was is now:
+                continue
+            if was.def_name != now.def_name:
+                dirty_rd.add(bid)
+                dirty_av.add(bid)
+            if was.live_gen != now.live_gen or was.live_kill != now.live_kill:
+                dirty_lv.add(bid)
+            if was.key_bit != now.key_bit:
+                dirty_av.add(bid)
+
+    reach_bits = dict(prev.reach_bits) if prev is not None else {}
+    live_bits = dict(prev.live_bits) if prev is not None else {}
+    avail_bits = dict(prev.avail_bits) if prev is not None else {}
+    by_key = {b.key: bid for bid, b in blocks.items()}
+    for k, o in old.items():
+        bid = by_key.get(k)
+        if bid is None or shape[bid][0] != o.sids:
+            for sid in o.sids:
+                reach_bits.pop(sid, None)
+                live_bits.pop(sid, None)
+                avail_bits.pop(sid, None)
+
+    # ---- reaching definitions (forward, union): bit ``sid`` per def ---------
+    def rd_transfer(bid: int) -> Tuple[int, int]:
+        g = k = 0
+        for sid, f in zip(shape[bid][0], shape[bid][1]):
+            if f.def_name is None:
+                continue
+            if f.kills:
+                # a scalar def kills all other defs of the name
+                mask = def_masks[f.def_name]
+                k |= mask
+                g &= ~mask
+            g |= 1 << sid
+        return g, k & ~g
+
+    rd, rewalk, visited = _fixpoint(
+        cfg, True, None, dirty_rd,
+        {b: (o.rd if o is not None else None) for b, o in matched.items()},
+        rd_transfer)
+    for bid in rewalk:
+        cur = rd[bid][0]
+        for sid, f in zip(shape[bid][0], shape[bid][1]):
+            visited += 1
+            reach_bits[sid] = cur
+            if f.def_name is not None:
+                if f.kills:
+                    cur &= ~def_masks[f.def_name]
+                cur |= 1 << sid
+
+    # ---- liveness (backward, union): one bit per name -----------------------
+    def lv_transfer(bid: int) -> Tuple[int, int]:
+        u = d = 0
+        for f in shape[bid][1]:
+            u |= f.live_gen & ~d
+            d |= f.live_kill
+        return u, d
+
+    lv, rewalk, n = _fixpoint(
+        cfg, False, None, dirty_lv,
+        {b: (o.lv if o is not None else None) for b, o in matched.items()},
+        lv_transfer)
+    visited += n
+    for bid in rewalk:
+        cur = lv[bid][0]
+        for sid, f in zip(reversed(shape[bid][0]), reversed(shape[bid][1])):
+            visited += 1
+            live_bits[sid] = cur
+            cur &= ~f.live_kill
+            cur |= f.live_gen
+
+    # ---- available expressions (forward, intersection): one bit per key -----
+    op_kill = universe.op_kill
+
+    def stmt_key_kill(f: FlowFacts) -> int:
+        # expressions whose operands this statement (re)defines
+        return op_kill.get(f.def_name, 0) if f.kills else 0
+
+    def av_transfer(bid: int) -> Tuple[int, int]:
+        g = k = 0
+        for f in shape[bid][1]:
+            sk = stmt_key_kill(f)
+            g = (g | f.key_bit) & ~sk
+            k |= sk
+        return g, k
+
+    av, rewalk, n = _fixpoint(
+        cfg, True, universe.all_keys(), dirty_av,
+        {b: (o.av if o is not None else None) for b, o in matched.items()},
+        av_transfer)
+    visited += n
+    for bid in rewalk:
+        cur = av[bid][0]
+        for sid, f in zip(shape[bid][0], shape[bid][1]):
+            visited += 1
+            avail_bits[sid] = cur
+            cur = (cur | f.key_bit) & ~stmt_key_kill(f)
+
+    new_blocks = {
+        blocks[bid].key: _Block(*shape[bid], rd[bid], lv[bid], av[bid])
+        for bid in blocks}
+    return DataflowResult(universe, def_masks, new_blocks, reach_bits,
+                          live_bits, avail_bits, visited)
+
+
+def analyze_dataflow(program: Program, cfg: Optional[CFG] = None,
+                     index=None) -> DataflowResult:
+    """Run all three analyses from scratch.
 
     The fixpoints run on int bitsets — one bit per definition, name, or
     expression key, so a block transfer is a few machine-word bitwise
     operations instead of Python set churn.  The per-statement facts
-    stay bitsets behind :class:`BitsetFacts`, which hands each sid out
-    as a frozenset only when it is read.
+    stay bitsets, decoded only when read.
+
+    ``index`` (a :class:`~repro.analysis.regional.DefUseIndex` current
+    with every statement it holds) supplies the local facts of those
+    statements, and its universe the bit positions, so the result can
+    later be patched by :func:`update_dataflow`.  Statements the index
+    does not hold — a deleted statement put back for a trial — are
+    derived fresh.
     """
     if cfg is None:
         cfg = build_cfg(program)
-    visited = 0
+    universe = index.universe if index is not None else FlowUniverse()
+    held = index.facts if index is not None else {}
+    flows: Dict[int, FlowFacts] = {}
+    def_masks: Dict[str, int] = {}
+    for sid in cfg.block_of:
+        held_facts = held.get(sid)
+        f = flows[sid] = (held_facts.flow if held_facts is not None
+                          else universe.facts(program.node(sid)))
+        if f.def_name is not None:
+            def_masks[f.def_name] = def_masks.get(f.def_name, 0) | (1 << sid)
+    return _solve(cfg, flows, universe, def_masks, None)
 
-    # ---- collect per-statement local facts, in block order -----------------
-    stmt_defs: Dict[int, Set[str]] = {}
-    stmt_uses: Dict[int, Set[str]] = {}
-    order_sids = cfg.statements()
-    for sid in order_sids:
-        s = program.node(sid)
-        d, u = _stmt_facts(s)
-        stmt_defs[sid] = d
-        stmt_uses[sid] = u
 
-    # ---- bit universe: one bit per definition ------------------------------
-    def_list: List[Definition] = []
-    def_bit: Dict[Definition, int] = {}
-    name_mask: Dict[str, int] = {}  # name -> bits of every def of it
-    for sid in order_sids:
-        for name in stmt_defs[sid]:
-            dfn = (sid, name)
-            bit = 1 << len(def_list)
-            def_bit[dfn] = bit
-            def_list.append(dfn)
-            name_mask[name] = name_mask.get(name, 0) | bit
+def update_dataflow(prev: DataflowResult, cfg: CFG, index) -> DataflowResult:
+    """``prev``'s facts carried to the program ``cfg`` was built from.
 
-    # ---- reaching definitions (forward, union) ------------------------------
-    gen: Dict[int, int] = {}
-    kill: Dict[int, int] = {}
-    for bid, block in cfg.blocks.items():
-        g = 0
-        k = 0
-        for sid in block.stmts:
-            for name in stmt_defs[sid]:
-                if not name.startswith("@"):
-                    # a scalar def kills all other defs of the name
-                    mask = name_mask[name]
-                    k |= mask
-                    g &= ~mask
-                g |= def_bit[(sid, name)]
-        gen[bid] = g
-        kill[bid] = k & ~g
-
-    rd_in: Dict[int, int] = {b: 0 for b in cfg.blocks}
-    rd_out: Dict[int, int] = {b: gen[b] for b in cfg.blocks}
-    work = cfg.rpo()
-    changed = True
-    while changed:
-        changed = False
-        for bid in work:
-            visited += 1
-            block = cfg.blocks[bid]
-            new_in = 0
-            for p in block.preds:
-                new_in |= rd_out[p]
-            new_out = gen[bid] | (new_in & ~kill[bid])
-            if new_in != rd_in[bid] or new_out != rd_out[bid]:
-                rd_in[bid] = new_in
-                rd_out[bid] = new_out
-                changed = True
-
-    # statement-level reach-in by walking each block
-    reach_bits: Dict[int, int] = {}
-    for bid, block in cfg.blocks.items():
-        cur = rd_in[bid]
-        for sid in block.stmts:
-            visited += 1
-            reach_bits[sid] = cur
-            for name in stmt_defs[sid]:
-                if not name.startswith("@"):
-                    cur &= ~name_mask[name]
-                cur |= def_bit[(sid, name)]
-
-    # ---- chains ------------------------------------------------------------------
-    du: Dict[Definition, Set[int]] = {}
-    ud: Dict[Tuple[int, str], Set[int]] = {}
-    for sid in order_sids:
-        for name in stmt_uses[sid]:
-            bits = reach_bits[sid] & name_mask.get(name, 0)
-            if bits:
-                reaching = [def_list[i] for i in iter_bits(bits)]
-                ud[(sid, name)] = {d[0] for d in reaching}
-                for d in reaching:
-                    du.setdefault(d, set()).add(sid)
-
-    # ---- liveness (backward, union): one bit per name ----------------------------
-    names: List[str] = sorted(
-        {n for sid in order_sids
-         for n in stmt_defs[sid] | stmt_uses[sid]})
-    nbit = {n: 1 << i for i, n in enumerate(names)}
-    scalar_mask = 0
-    for n in names:
-        if not n.startswith("@"):
-            scalar_mask |= nbit[n]
-
-    def _names_bits(ns: Set[str]) -> int:
-        acc = 0
-        for n in ns:
-            acc |= nbit[n]
-        return acc
-
-    defs_bits = {sid: _names_bits(stmt_defs[sid]) for sid in order_sids}
-    uses_bits = {sid: _names_bits(stmt_uses[sid]) for sid in order_sids}
-
-    use_b: Dict[int, int] = {}
-    def_b: Dict[int, int] = {}
-    for bid, block in cfg.blocks.items():
-        u = 0
-        d = 0
-        for sid in block.stmts:
-            u |= uses_bits[sid] & ~d
-            d |= defs_bits[sid] & scalar_mask
-        use_b[bid] = u
-        def_b[bid] = d
-
-    lv_in: Dict[int, int] = {b: 0 for b in cfg.blocks}
-    lv_out: Dict[int, int] = {b: 0 for b in cfg.blocks}
-    changed = True
-    rev = list(reversed(cfg.rpo()))
-    while changed:
-        changed = False
-        for bid in rev:
-            visited += 1
-            block = cfg.blocks[bid]
-            new_out = 0
-            for s in block.succs:
-                new_out |= lv_in[s]
-            new_in = use_b[bid] | (new_out & ~def_b[bid])
-            if new_in != lv_in[bid] or new_out != lv_out[bid]:
-                lv_in[bid] = new_in
-                lv_out[bid] = new_out
-                changed = True
-
-    live_bits: Dict[int, int] = {}
-    for bid, block in cfg.blocks.items():
-        cur = lv_out[bid]
-        for sid in reversed(block.stmts):
-            visited += 1
-            live_bits[sid] = cur
-            cur &= ~(defs_bits[sid] & scalar_mask)
-            cur |= uses_bits[sid]
-
-    # ---- available expressions (forward, intersection): one bit per key ----------
-    key_list: List[Tuple] = []
-    key_bit: Dict[Tuple, int] = {}
-    stmt_eval: Dict[int, Optional[Tuple]] = {}
-    for sid in order_sids:
-        s = program.node(sid)
-        key = expr_key(s.expr) if isinstance(s, Assign) else None
-        stmt_eval[sid] = key
-        if key is not None and key not in key_bit:
-            key_bit[key] = 1 << len(key_list)
-            key_list.append(key)
-    all_mask = (1 << len(key_list)) - 1
-
-    # which keys a scalar (re)definition of each name kills
-    op_kill: Dict[str, int] = {}
-    for key, bit in key_bit.items():
-        for n in _expr_operand_names(key):
-            op_kill[n] = op_kill.get(n, 0) | bit
-    stmt_key_kill: Dict[int, int] = {}
-    for sid in order_sids:
-        k = 0
-        for n in stmt_defs[sid]:
-            if not n.startswith("@"):
-                k |= op_kill.get(n, 0)
-        stmt_key_kill[sid] = k
-
-    def block_transfer(bid: int, avail: int) -> int:
-        cur = avail
-        for sid in cfg.blocks[bid].stmts:
-            key = stmt_eval[sid]
-            if key is not None:
-                cur |= key_bit[key]
-            # kill expressions whose operands this statement (re)defines
-            cur &= ~stmt_key_kill[sid]
-        return cur
-
-    av_in: Dict[int, int] = {b: all_mask for b in cfg.blocks}
-    av_in[cfg.entry] = 0
-    av_out: Dict[int, int] = {b: block_transfer(b, av_in[b]) for b in cfg.blocks}
-    changed = True
-    while changed:
-        changed = False
-        for bid in cfg.rpo():
-            visited += 1
-            block = cfg.blocks[bid]
-            if block.preds:
-                new_in = all_mask
-                for p in block.preds:
-                    new_in &= av_out[p]
-            else:
-                new_in = 0
-            new_out = block_transfer(bid, new_in)
-            if new_in != av_in[bid] or new_out != av_out[bid]:
-                av_in[bid] = new_in
-                av_out[bid] = new_out
-                changed = True
-
-    avail_bits: Dict[int, int] = {}
-    for bid, block in cfg.blocks.items():
-        cur = av_in[bid]
-        for sid in block.stmts:
-            visited += 1
-            avail_bits[sid] = cur
-            key = stmt_eval[sid]
-            if key is not None:
-                cur |= key_bit[key]
-            cur &= ~stmt_key_kill[sid]
-
-    return DataflowResult(
-        cfg=cfg,
-        reach_in=BitsetFacts(reach_bits, def_list),
-        live_out=BitsetFacts(live_bits, names),
-        avail_in=BitsetFacts(avail_bits, key_list),
-        du_chains={k: frozenset(v) for k, v in du.items()},
-        ud_chains={k: frozenset(v) for k, v in ud.items()},
-        visited_nodes=visited,
-    )
+    ``index`` must be the :class:`~repro.analysis.regional.DefUseIndex`
+    whose universe ``prev`` was built with, synced to the current
+    program.  Only the loops and blocks a block whose transfer function
+    or edges changed can reach are re-solved (see :func:`_solve`);
+    ``prev`` may be any number of versions old.
+    """
+    flows = {sid: f.flow for sid, f in index.facts.items()}
+    return _solve(cfg, flows, index.universe,
+                  {n: m for n, m in index.defs.items() if m}, prev)

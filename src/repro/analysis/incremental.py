@@ -24,6 +24,13 @@ every inverse action (Figure 4, line 13).  This cache provides:
   :meth:`AnalysisCache.update_after_events` pushes the same event batch
   through the control-dependence tree, the region summaries, and the
   PDG, so an undo no longer drops those caches wholesale;
+* **regional data-flow updates** — on their first read after a batch,
+  the data-flow facts are carried forward: the local facts come from
+  the index, and only the loops and blocks that a block whose transfer
+  function or edges changed can reach are re-solved
+  (:func:`~repro.analysis.dataflow.update_dataflow`).  Facts of a
+  version the log does not account for, and facts under
+  ``strategy=FULL``, are from-scratch runs;
 * **work counters and wall-clock timers** — every path counts the node
   visits / pairs it examines and accumulates ``perf_counter`` time per
   analysis, so the benchmarks can compare incremental vs. from-scratch
@@ -49,7 +56,11 @@ from repro.analysis.control_dep import (
     build_control_dep_tree,
     update_control_tree,
 )
-from repro.analysis.dataflow import DataflowResult, analyze_dataflow
+from repro.analysis.dataflow import (
+    DataflowResult,
+    analyze_dataflow,
+    update_dataflow,
+)
 from repro.analysis.depend import (
     Dependence,
     DependenceGraph,
@@ -82,6 +93,9 @@ class WorkCounters:
 
     dataflow_runs: int = 0
     dataflow_nodes: int = 0
+    #: regional data-flow updates, and the nodes they visited.
+    dataflow_updates: int = 0
+    dataflow_update_nodes: int = 0
     dependence_runs: int = 0
     dependence_pairs: int = 0
     incremental_updates: int = 0
@@ -109,6 +123,11 @@ class WorkCounters:
             yield
         finally:
             self.add_time(key, time.perf_counter() - start)
+
+    def count_dataflow(self, result: DataflowResult) -> None:
+        """Count one from-scratch data-flow run and the nodes it visited."""
+        self.dataflow_runs += 1
+        self.dataflow_nodes += result.visited_nodes
 
     def snapshot(self) -> Dict[str, object]:
         """A plain-dict copy of the counters and timers (for reports)."""
@@ -174,7 +193,14 @@ class AnalysisCache:
         self.policy = policy
         self.counters = WorkCounters()
         self._cfg: Optional[Tuple[int, CFG]] = None
+        #: facts the log can patch, and facts of an unlogged version
+        #: (a trial inside ``program.probe()``), kept apart so a trial
+        #: never costs the patchable facts.
         self._dataflow: Optional[Tuple[int, DataflowResult]] = None
+        self._trial_dataflow: Optional[Tuple[int, DataflowResult]] = None
+        #: set while the getter catches up: the facts are carried
+        #: forward on their first read after a batch, not on every batch.
+        self._dataflow_wanted = False
         self._deps: Optional[Tuple[int, DependenceGraph]] = None
         self._tree: Optional[Tuple[int, ControlDepTree]] = None
         self._pdg: Optional[Tuple[int, PDG]] = None
@@ -204,15 +230,18 @@ class AnalysisCache:
             return None
         return self._log_end()
 
+    def _regional(self) -> bool:
+        """Whether the policy patches analyses (``None`` counts as yes)."""
+        policy = self.policy
+        return policy is None or (policy.use_incremental and
+                                  policy.incremental_strategy == REGIONAL)
+
     def _catch_up(self, entry: Optional[Tuple[int, object]]) -> None:
         """Patch a stale ``entry`` (and its peers) from the log, if the
         log and the policy allow; otherwise the getter rebuilds it."""
         if entry is None or entry[0] == self.program.version:
             return
-        policy = self.policy
-        if self._logged() and (policy is None or (
-                policy.use_incremental
-                and policy.incremental_strategy == REGIONAL)):
+        if self._logged() and self._regional():
             self.update_after_events()
 
     def _slice_since(self, cursor: int,
@@ -235,15 +264,32 @@ class AnalysisCache:
         return self._cfg[1]
 
     def dataflow(self) -> DataflowResult:
-        """The (version-checked) data-flow facts."""
+        """The (version-checked, log-patched) data-flow facts.
+
+        A rebuild at a version the log accounts for reads the local
+        facts from the def/use index under a regional policy; one at an
+        unlogged version derives them fresh and is kept apart from the
+        patchable facts."""
+        self._dataflow_wanted = True
+        try:
+            self._catch_up(self._dataflow)
+        finally:
+            self._dataflow_wanted = False
         v = self.program.version
-        if self._dataflow is None or self._dataflow[0] != v:
-            with self.counters.timed("dataflow"):
-                res = analyze_dataflow(self.program, self.cfg())
-            self.counters.dataflow_runs += 1
-            self.counters.dataflow_nodes += res.visited_nodes
-            self._dataflow = (v, res)
+        if self._dataflow is not None and self._dataflow[0] == v:
+            return self._dataflow[1]
+        if self._anchor() is None:
+            if self._trial_dataflow is None or self._trial_dataflow[0] != v:
+                self._trial_dataflow = (v, self._run_dataflow(None))
+            return self._trial_dataflow[1]
+        self._dataflow = (v, self._run_dataflow(self.current_index()))
         return self._dataflow[1]
+
+    def _run_dataflow(self, index: Optional[DefUseIndex]) -> DataflowResult:
+        with self.counters.timed("dataflow"):
+            res = analyze_dataflow(self.program, self.cfg(), index)
+        self.counters.count_dataflow(res)
+        return res
 
     def dependences(self) -> DependenceGraph:
         """The (version-checked, log-patched) dependence graph."""
@@ -289,6 +335,16 @@ class AnalysisCache:
             self._summ_cursor = self._anchor()
         return self._summaries[1]
 
+    def current_index(self) -> Optional[DefUseIndex]:
+        """The def/use index synced to the program, or ``None`` when the
+        log does not account for the program's version or the policy
+        does not maintain the index.  A trial that re-attaches deleted
+        statements (which the index does not hold) may read the facts
+        of every other statement here, if it asks before the trial."""
+        if self._logged() and self._regional():
+            return self.defuse_index()
+        return None
+
     def defuse_index(self) -> DefUseIndex:
         """The persistent def/use index, built once and event-maintained."""
         if self._index is None:
@@ -312,6 +368,7 @@ class AnalysisCache:
         """Drop everything (used by the from-scratch baseline strategies)."""
         self._cfg = None
         self._dataflow = None
+        self._trial_dataflow = None
         self._deps = None
         self._tree = None
         self._pdg = None
@@ -368,18 +425,23 @@ class AnalysisCache:
         """Patch every *materialized* analysis after a change-event batch.
 
         This is Figure 4's line 13 ("dependence and data flow update")
-        made regional: the dependence graph is spliced, the control tree
-        is patched in place (preserving untouched region ids), the
-        summaries are re-hung only where an endpoint was touched, and
-        the PDG is reassembled from the patched parts.  Analyses that
-        were never asked for are *not* built — the version-checked
-        getters handle them lazily.  ``strategy=FULL`` instead rebuilds
-        the dependence graph from scratch and drops the downstream
-        caches wholesale (the pre-regional baseline behavior).
+        made regional: the dependence graph is spliced, the data-flow
+        facts are re-iterated only downstream (upstream, for liveness)
+        of the blocks that changed — when the getter asks, since they
+        are carried forward from any earlier version, so a batch no one
+        reads them after costs nothing — the control tree is patched in
+        place (preserving untouched region ids), the summaries are
+        re-hung only where an endpoint was touched, and the PDG is
+        reassembled from the patched parts.  Analyses that were never
+        asked for are *not* built — the version-checked getters handle
+        them lazily.  ``strategy=FULL`` instead rebuilds the dependence
+        graph from scratch and drops the downstream caches wholesale
+        (the pre-regional baseline behavior).
         """
         if strategy == FULL:
             if self._deps is not None:
                 self.update_dependences(events, strategy=FULL)
+            self._dataflow = None
             self._tree = None
             self._pdg = None
             self._summaries = None
@@ -403,6 +465,9 @@ class AnalysisCache:
             graph = self.update_dependences(events, strategy=REGIONAL)
         else:
             self._sync_index(events)
+        if (self._dataflow is not None and self._dataflow[0] != v
+                and self._dataflow_wanted):
+            self._update_dataflow()
 
         tree: Optional[ControlDepTree] = None
         if self._tree is not None:
@@ -436,3 +501,21 @@ class AnalysisCache:
                 with self.counters.timed("pdg_assemble"):
                     self._pdg = (v, PDG(self.program, tree, graph))
                 self.counters.pdg_assemblies += 1
+
+    def _update_dataflow(self) -> None:
+        """Carry the data-flow facts to the current version, regionally.
+
+        Only facts built from the index's universe can be carried, and
+        only when the log accounts for the version under a regional
+        policy; otherwise they are dropped for the getter to rebuild."""
+        prev = self._dataflow[1]
+        index = self.defuse_index() if self._index is not None else None
+        if (index is None or prev.universe is not index.universe
+                or not self._logged() or not self._regional()):
+            self._dataflow = None
+            return
+        with self.counters.timed("dataflow_update"):
+            res = update_dataflow(prev, self.cfg(), index)
+        self.counters.dataflow_updates += 1
+        self.counters.dataflow_update_nodes += res.visited_nodes
+        self._dataflow = (self.program.version, res)

@@ -36,9 +36,9 @@ complexity model and shows the measured effect.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from repro.analysis.dataflow import iter_bits
+from repro.analysis.dataflow import FlowFacts, FlowUniverse, iter_bits
 from repro.analysis.depend import (
     IO,
     Dependence,
@@ -102,6 +102,8 @@ class StmtFacts:
 
     sid: int
     du: object  # DefUse
+    #: the local data-flow facts, bits in the index's universe.
+    flow: FlowFacts
     #: ``(name, ref, is_write)`` in source order within the statement.
     refs: List[Tuple[str, ArrayRef, bool]] = field(default_factory=list)
 
@@ -109,20 +111,26 @@ class StmtFacts:
 class DefUseIndex:
     """Name → statement index over the attached program, event-maintained.
 
-    ``scalar_defs[name]`` / ``scalar_uses[name]`` hold the sids defining
-    / using the scalar; ``arrays[name]`` the sids referencing the array.
-    All three map to int *bitsets* — bit ``i`` set means sid ``i`` is in
-    the set (decode with :func:`bitset_to_sids`) — so candidate queries
-    union word-at-a-time instead of element-at-a-time.  :meth:`refresh`
-    keeps the maps consistent as statements are touched, so the index
-    never has to be rebuilt after the first construction.
+    ``defs[name]`` / ``scalar_uses[name]`` hold the sids defining /
+    using the scalar (``defs["@A"]`` the sids storing into array ``A``);
+    ``arrays[name]`` the sids referencing the array.  All three map to
+    int *bitsets* — bit ``i`` set means sid ``i`` is in the set (decode
+    with :func:`bitset_to_sids`) — so candidate queries union
+    word-at-a-time instead of element-at-a-time.  :meth:`refresh` keeps
+    the maps consistent as statements are touched, so the index never
+    has to be rebuilt after the first construction.
+
+    Each statement's facts also carry its local data-flow facts, with
+    bit positions from :attr:`universe`: the data-flow analyses read
+    them here instead of re-deriving them per run.
     """
 
     def __init__(self) -> None:
         self.facts: Dict[int, StmtFacts] = {}
-        self.scalar_defs: Dict[str, int] = {}
+        self.defs: Dict[str, int] = {}
         self.scalar_uses: Dict[str, int] = {}
         self.arrays: Dict[str, int] = {}
+        self.universe = FlowUniverse()
 
     @classmethod
     def build(cls, program: Program) -> "DefUseIndex":
@@ -136,11 +144,12 @@ class DefUseIndex:
 
     def _add(self, stmt: Stmt) -> None:
         du = stmt_defuse(stmt)
-        facts = StmtFacts(stmt.sid, du, stmt_array_refs(stmt))
+        flow = self.universe.facts(stmt, du)
+        facts = StmtFacts(stmt.sid, du, flow, stmt_array_refs(stmt))
         self.facts[stmt.sid] = facts
         bit = 1 << stmt.sid
-        for name in du.defs:
-            self.scalar_defs[name] = self.scalar_defs.get(name, 0) | bit
+        if flow.def_name is not None:
+            self.defs[flow.def_name] = self.defs.get(flow.def_name, 0) | bit
         for name in du.uses:
             self.scalar_uses[name] = self.scalar_uses.get(name, 0) | bit
         for name, _ref, _w in facts.refs:
@@ -152,8 +161,9 @@ class DefUseIndex:
         if facts is None:
             return
         mask = ~(1 << sid)
-        for name in facts.du.defs:
-            self.scalar_defs[name] = self.scalar_defs.get(name, 0) & mask
+        name = facts.flow.def_name
+        if name is not None:
+            self.defs[name] &= mask
         for name in facts.du.uses:
             self.scalar_uses[name] = self.scalar_uses.get(name, 0) & mask
         for name, _ref, _w in facts.refs:
@@ -182,10 +192,10 @@ class DefUseIndex:
             return 0
         out = 0
         for name in facts.du.defs:
-            out |= self.scalar_defs.get(name, 0)
+            out |= self.defs.get(name, 0)
             out |= self.scalar_uses.get(name, 0)
         for name in facts.du.uses:
-            out |= self.scalar_defs.get(name, 0)
+            out |= self.defs.get(name, 0)
         return out
 
     def array_candidates(self, sid: int) -> int:

@@ -108,15 +108,16 @@ class TransformationEngine:
         #: counter/histogram home; defaults to the process-wide registry.
         self.metrics = metrics if metrics is not None \
             else obs_metrics.REGISTRY
-        recorder = self.tracer.recorder
-        if self.tracer.enabled and recorder.drop_counter is None:
+        if self.tracer.enabled:
             # ring wrap-around is otherwise silent; the counter is the
             # only record of how many spans the flight recorder lost
-            recorder.drop_counter = self.metrics.counter(
-                "repro_trace_dropped_total",
-                "spans evicted off the flight-recorder ring")
-            recorder.span_counter = self.metrics.counter(
-                "repro_spans_total", "spans the flight recorder completed")
+            self.tracer.recorder.count_in(
+                self.metrics.counter(
+                    "repro_spans_total",
+                    "spans the flight recorder completed"),
+                self.metrics.counter(
+                    "repro_trace_dropped_total",
+                    "spans evicted off the flight-recorder ring"))
         #: recent isolated observer failures, newest last — a raising
         #: ``command_observers`` callback is logged and recorded here,
         #: never allowed to corrupt the already-committed command.

@@ -62,6 +62,8 @@ from contextlib import contextmanager
 from typing import (Any, Callable, Dict, IO, Iterator, List, Optional,
                     Sequence, Tuple)
 
+from repro.obs.metrics import Counter
+
 __all__ = ["Span", "FlightRecorder", "Tracer", "open_log", "read_log",
            "read_trace", "tail_of", "new_request_id", "current_request",
            "request_context", "annotate_request", "thread_activity"]
@@ -303,41 +305,54 @@ class FlightRecorder:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._spans: "deque[Span]" = deque(maxlen=capacity)
-        #: completed spans ever seen (``completed - len(spans())`` were
-        #: dropped off the old end of the ring).
-        self.completed = 0
-        #: optional :class:`repro.obs.metrics.Counter` incremented once
-        #: per evicted span — under load the ring wraps *silently*
-        #: otherwise, and "how much trace did we lose" is exactly the
-        #: question asked after an incident.  Wired by the engine to
-        #: ``repro_trace_dropped_total``; any object with ``inc()`` works.
-        self.drop_counter: Optional[Any] = None
-        #: optional counter incremented once per recorded span — the
-        #: registry copy of :attr:`completed`, wired by the engine to
-        #: ``repro_spans_total``.
-        self.span_counter: Optional[Any] = None
+        #: the one store of the recorder's counts: spans recorded, and
+        #: spans evicted off the old end of the ring — under load the
+        #: ring wraps *silently* otherwise, and "how much trace did we
+        #: lose" is exactly the question asked after an incident.
+        #: Standalone until :meth:`count_in` moves them into a registry
+        #: (the engine: ``repro_spans_total`` and
+        #: ``repro_trace_dropped_total``); any object with ``inc()`` and
+        #: ``value`` works.
+        self.span_counter: Any = Counter("repro_spans_total")
+        self.drop_counter: Any = Counter("repro_trace_dropped_total")
+        self._registered = False
+
+    def count_in(self, span_counter: Any, drop_counter: Any) -> None:
+        """Keep the counts in a registry's counters from now on, carrying
+        over what was counted so far.  A recorder already counting in a
+        registry keeps its counters."""
+        if self._registered:
+            return
+        span_counter.inc(self.span_counter.value)
+        drop_counter.inc(self.drop_counter.value)
+        self.span_counter = span_counter
+        self.drop_counter = drop_counter
+        self._registered = True
 
     def add(self, span: Span) -> None:
         """Record one completed span (oldest evicted when full)."""
-        if len(self._spans) == self.capacity and \
-                self.drop_counter is not None:
+        if len(self._spans) == self.capacity:
             self.drop_counter.inc()
         self._spans.append(span)
-        self.completed += 1
-        if self.span_counter is not None:
-            self.span_counter.inc()
+        self.span_counter.inc()
+
+    @property
+    def completed(self) -> int:
+        """Spans recorded so far (retained or not)."""
+        return int(self.span_counter.value)
 
     @property
     def dropped(self) -> int:
         """Spans evicted off the old end of the ring so far."""
-        return self.completed - len(self._spans)
+        return int(self.drop_counter.value)
 
     def spans(self, tail: Optional[int] = None) -> List[Span]:
         """The retained spans, oldest first (optionally only the tail)."""
         return tail_of(list(self._spans), tail)
 
     def clear(self) -> None:
-        """Forget every retained span (the counters keep accumulating)."""
+        """Forget every retained span (the counters keep accumulating;
+        a cleared span was not dropped)."""
         self._spans.clear()
 
 

@@ -192,9 +192,7 @@ def sole_reaching_def(def_var: str, use_var: str) -> Pred:
         if not isinstance(d, Assign) or not isinstance(d.target, VarRef):
             return False
         name = d.target.name
-        df = cache.dataflow()
-        defs = {x for x in df.reach_in.get(b[use_var], frozenset())
-                if x[1] == name}
+        defs = cache.dataflow().reaching(b[use_var], name)
         return defs == {(b[def_var], name)}
 
     return Pred("sole_reaching_def", (def_var, use_var), test,

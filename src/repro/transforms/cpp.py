@@ -50,7 +50,7 @@ def _copy_def(program, cache, use_sid: int, var: str):
     definitions of ``source_var`` are identical at both points.
     """
     df = cache.dataflow()
-    defs = {d for d in df.reach_in.get(use_sid, frozenset()) if d[1] == var}
+    defs = df.reaching(use_sid, var)
     if len(defs) != 1:
         return None
     def_sid = next(iter(defs))[0]
@@ -61,11 +61,7 @@ def _copy_def(program, cache, use_sid: int, var: str):
             and stmt.target.name == var and isinstance(stmt.expr, VarRef)):
         return None
     src = stmt.expr.name
-    defs_src_at_def = {d for d in df.reach_in.get(def_sid, frozenset())
-                       if d[1] == src}
-    defs_src_at_use = {d for d in df.reach_in.get(use_sid, frozenset())
-                       if d[1] == src}
-    if defs_src_at_def != defs_src_at_use:
+    if df.reaching(def_sid, src) != df.reaching(use_sid, src):
         return None
     return def_sid, src
 
@@ -141,8 +137,7 @@ class CopyPropagation(Transformation):
                 witness={"def_sid": def_sid, "var": pre["var"],
                          "src": pre["src"]}))
         df = cache.dataflow()
-        defs = {d for d in df.reach_in.get(use_sid, frozenset())
-                if d[1] == pre["var"]}
+        defs = df.reaching(use_sid, pre["var"])
         key = (def_sid, pre["var"])
         extras = [d for d in defs - {key}
                   if not ctx.attributed_to_active(d[0], t, ("cp", "add", "mv"))]
@@ -160,9 +155,7 @@ class CopyPropagation(Transformation):
                 witness={"def_sid": def_sid, "use_sid": use_sid,
                          "var": pre["var"]}))
         src = pre["src"]
-        at_def = {d for d in df.reach_in.get(def_sid, frozenset()) if d[1] == src}
-        at_use = {d for d in df.reach_in.get(use_sid, frozenset()) if d[1] == src}
-        diff = at_def ^ at_use
+        diff = df.reaching(def_sid, src) ^ df.reaching(use_sid, src)
         unexplained = [d for d in diff
                        if not ctx.attributed_to_active(d[0], t,
                                                        ("cp", "add", "mv"))]

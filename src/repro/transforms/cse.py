@@ -52,11 +52,6 @@ def _operand_names(key: Tuple) -> List[str]:
     return [val for tag, val in (key[1], key[2]) if tag == "v"]
 
 
-def _reach_of(df, sid: int, name: str):
-    return frozenset(d for d in df.reach_in.get(sid, frozenset())
-                     if d[1] == name)
-
-
 class CommonSubexpressionElimination(Transformation):
     """Replace a recomputed ``B op C`` by the variable already holding it."""
 
@@ -81,18 +76,18 @@ class CommonSubexpressionElimination(Transformation):
             if not isinstance(s, Assign):
                 continue
             key = expr_key(s.expr)
-            if key is None or key not in df.avail_in.get(s.sid, frozenset()):
+            if key is None or not df.available(s.sid, key):
                 continue
             for def_sid, a_name, pkey in producers:
                 if pkey != key or def_sid == s.sid:
                     continue
                 if not cfg.dominates(def_sid, s.sid):
                     continue
-                if _reach_of(df, s.sid, a_name) != frozenset({(def_sid, a_name)}):
+                if df.reaching(s.sid, a_name) != frozenset({(def_sid, a_name)}):
                     continue
                 ok = True
                 for opn in _operand_names(key):
-                    if _reach_of(df, def_sid, opn) != _reach_of(df, s.sid, opn):
+                    if df.reaching(def_sid, opn) != df.reaching(s.sid, opn):
                         ok = False
                         break
                 if not ok:
@@ -156,7 +151,7 @@ class CommonSubexpressionElimination(Transformation):
                 code="cse.safety.dominance-lost",
                 witness={"def_sid": def_sid, "use_sid": use_sid}))
         df = cache.dataflow()
-        defs_a = _reach_of(df, use_sid, a_name)
+        defs_a = df.reaching(use_sid, a_name)
         akey = (def_sid, a_name)
         extras = [d for d in defs_a - {akey}
                   if not ctx.attributed_to_active(d[0], t, ("cp", "add", "mv"))]
@@ -174,7 +169,7 @@ class CommonSubexpressionElimination(Transformation):
                 witness={"def_sid": def_sid, "use_sid": use_sid,
                          "var": a_name}))
         for opn in _operand_names(key):
-            diff = _reach_of(df, def_sid, opn) ^ _reach_of(df, use_sid, opn)
+            diff = df.reaching(def_sid, opn) ^ df.reaching(use_sid, opn)
             unexplained = [d for d in diff
                            if not ctx.attributed_to_active(
                                d[0], t, ("cp", "add", "mv"))]

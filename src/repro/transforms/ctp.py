@@ -44,7 +44,7 @@ from repro.transforms.base import (
 def _const_def(program, cache, use_sid: int, var: str):
     """The unique constant-assignment def reaching a use, or ``None``."""
     df = cache.dataflow()
-    defs = {d for d in df.reach_in.get(use_sid, frozenset()) if d[1] == var}
+    defs = df.reaching(use_sid, var)
     if len(defs) != 1:
         return None
     def_sid = next(iter(defs))[0]
@@ -151,8 +151,7 @@ class ConstantPropagation(Transformation):
                 witness={"def_sid": def_sid, "var": pre["var"],
                          "value": pre["value"]}))
         df = cache.dataflow()
-        defs = {d for d in df.reach_in.get(use_sid, frozenset())
-                if d[1] == pre["var"]}
+        defs = df.reaching(use_sid, pre["var"])
         key = (def_sid, pre["var"])
         extras = [d for d in defs - {key}
                   if not ctx.attributed_to_active(d[0], t, ("cp", "add", "mv"))]

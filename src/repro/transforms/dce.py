@@ -95,8 +95,9 @@ class DeadCodeElimination(Transformation):
         """Probe whether the deleted statement would still be dead.
 
         The deleted statement is temporarily restored at its original
-        location (bypassing history), liveness is recomputed, and the
-        statement removed again.  This implements Table 3's condition
+        location (bypassing history), liveness is recomputed — a counted
+        from-scratch run that reads every other statement's local facts
+        from the def/use index — and the statement removed again.  This implements Table 3's condition
         ``∃ S_l ∋ (S_i δ S_l)`` exactly: any use the restored value would
         reach disables the transformation's safety.  (No benign
         attribution is needed: a legal transformation can never introduce
@@ -116,10 +117,16 @@ class DeadCodeElimination(Transformation):
             # restore point and no reachable uses — still safe.
             return SafetyResult.ok()
         ref, idx = resolved
+        cache = ctx.cache
+        # every statement but the restored one keeps its indexed facts;
+        # ask before the trial, which the log does not account for
+        index = cache.current_index()
         with program.probe():
             program.insert(ref, idx, program.node(sid))
             try:
-                df = analyze_dataflow(program)
+                with cache.counters.timed("dataflow"):
+                    df = analyze_dataflow(program, index=index)
+                cache.counters.count_dataflow(df)
                 dead = df.is_dead(sid, target)
             finally:
                 program.detach(sid)

@@ -49,24 +49,38 @@ class TestReachingDefinitions:
 
 
 class TestChains:
+    """Def-use and use-def questions, answered from the bit queries."""
+
     def test_du_chain(self):
-        p, df = df_of("x = 1\ny = x\nz = x\n")
+        p, df = df_of("x = 1\ny = x\nz = x\nw = 2\n")
         s1 = stmt(p, 1)
-        uses = df.du_chains[(s1.sid, "x")]
-        assert uses == {stmt(p, 2).sid, stmt(p, 3).sid}
+        for use in (stmt(p, 2), stmt(p, 3)):
+            assert df.reaching(use.sid, "x") == {(s1.sid, "x")}
+        assert not df.is_dead(s1.sid, "x")
+        assert df.is_dead(stmt(p, 4).sid, "w")
 
     def test_ud_chain(self):
         p, df = df_of("x = 1\ny = x\n")
-        assert df.ud_chains[(stmt(p, 2).sid, "x")] == {stmt(p, 1).sid}
+        assert df.reaching(stmt(p, 2).sid, "x") == {(stmt(p, 1).sid, "x")}
+        assert df.reaching(stmt(p, 2).sid, "y") == frozenset()
 
     def test_sole_reaching_def(self):
         p, df = df_of("x = 1\ny = x\n")
-        assert df.sole_reaching_def(stmt(p, 2).sid, "x") == stmt(p, 1).sid
+        (only,) = df.reaching(stmt(p, 2).sid, "x")
+        assert only == (stmt(p, 1).sid, "x")
 
     def test_sole_reaching_def_ambiguous(self):
         p, df = df_of(
             "if (c > 0) then\n  x = 1\nelse\n  x = 2\nendif\ny = x\n")
-        assert df.sole_reaching_def(stmt(p, 4).sid, "x") is None
+        assert len(df.reaching(stmt(p, 4).sid, "x")) == 2
+
+    def test_reaching_matches_the_decoded_set(self):
+        p, df = df_of("A(1) = 1\nx = 1\ndo i = 1, 3\n  y = x + A(i)\n"
+                      "  x = y\n  A(i) = x\nenddo\nwrite y\n")
+        for s in p.walk():
+            for name in ("x", "y", "i", "@A"):
+                want = {d for d in df.reach_in[s.sid] if d[1] == name}
+                assert df.reaching(s.sid, name) == want
 
 
 class TestLiveness:
@@ -142,6 +156,14 @@ class TestAvailableExpressions:
         p, df = df_of("d = e + f\ndo i = 1, 3\n  g = e + f\nenddo\n")
         key = ("+", ("v", "e"), ("v", "f"))
         assert key in df.avail_in[stmt(p, 3).sid]
+
+    def test_available_matches_the_decoded_set(self):
+        p, df = df_of("d = e + f\ne = 1\ng = e + f\nh = e + f\n")
+        keys = [("+", ("v", "e"), ("v", "f")), ("*", ("v", "x"), ("c", 2))]
+        for s in p.walk():
+            for key in keys:
+                assert df.available(s.sid, key) == (key in df.avail_in[s.sid])
+        assert df.available(stmt(p, 4).sid, keys[0])
 
 
 class TestInstrumentation:

@@ -3,6 +3,7 @@
 import pytest
 
 from tests.helpers import make_engine, stmt_by_label
+from repro.analysis.dataflow import analyze_dataflow
 from repro.core.engine import ApplyError, TransformationEngine
 from repro.lang.ast_nodes import programs_equal
 from repro.lang.parser import parse_program
@@ -61,10 +62,17 @@ class TestAnalysisCache:
 
     def test_recompute_after_mutation(self):
         engine, p, _ = make_engine("c = 1\nx = c\nwrite x\n")
-        engine.cache.dataflow()
+        df1 = engine.cache.dataflow()
         engine.apply(engine.find("ctp")[0])
-        engine.cache.dataflow()
-        assert engine.cache.counters.dataflow_runs == 2
+        df2 = engine.cache.dataflow()
+        # recomputed by a regional update from the log, not a rerun
+        assert df2 is not df1
+        assert engine.cache.counters.dataflow_runs == 1
+        assert engine.cache.counters.dataflow_updates == 1
+        fresh = analyze_dataflow(p)
+        for s in p.walk():
+            assert df2.reach_in[s.sid] == fresh.reach_in[s.sid]
+            assert df2.live_out[s.sid] == fresh.live_out[s.sid]
 
     def test_dependences_cached(self):
         engine, _, _ = make_engine("x = 1\ny = x\nwrite y\n")

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.control_dep import build_control_dep_tree, tree_signature
+from repro.analysis.dataflow import analyze_dataflow
 from repro.analysis.depend import analyze_dependences
 from repro.analysis.incremental import FULL, REGIONAL, AnalysisCache
 from repro.analysis.regional import DefUseIndex, bitset_to_sids
@@ -56,18 +57,56 @@ def summary_signature(summ):
 
 def index_signature(index):
     facts = {sid: (sorted(f.du.defs), sorted(f.du.uses),
-                   [(n, w) for n, _r, w in f.refs])
+                   [(n, w) for n, _r, w in f.refs],
+                   f.flow.def_name, sorted(f.flow.uses), f.flow.key)
              for sid, f in index.facts.items()}
     maps = tuple(
         {name: bitset_to_sids(s) for name, s in m.items() if s}
-        for m in (index.scalar_defs, index.scalar_uses, index.arrays))
+        for m in (index.defs, index.scalar_uses, index.arrays))
     return facts, maps
+
+
+def materialize(cache):
+    """Build every analysis, so event batches patch them from here on."""
+    cache.dataflow()
+    cache.dependences()
+    cache.control_tree()
+    cache.summaries()
+    cache.pdg()
+
+
+def assert_dataflow_matches_fresh(cache):
+    """The maintained data-flow facts, carried forward on this read (no
+    from-scratch run), == a from-scratch run: every fact of every
+    attached statement, and every bit query."""
+    program = cache.program
+    runs = cache.counters.dataflow_runs
+    got = cache.dataflow()
+    assert cache.counters.dataflow_runs == runs
+    assert cache._dataflow == (program.version, got)
+    fresh = analyze_dataflow(program)
+    sids = sorted(s.sid for s in program.walk())
+    assert sorted(got.reach_in) == sorted(fresh.reach_in) == sids
+    assert sorted(got.live_out) == sorted(got.avail_in) == sids
+    # a definition is bit ``sid`` in every run: no stale bit survives
+    assert got.reach_bits == fresh.reach_bits
+    names = set(fresh.def_masks) | set(fresh.universe.names)
+    for sid in sids:
+        assert got.reach_in[sid] == fresh.reach_in[sid]
+        assert got.live_out[sid] == fresh.live_out[sid]
+        assert got.avail_in[sid] == fresh.avail_in[sid]
+        for name in names:
+            assert got.reaching(sid, name) == fresh.reaching(sid, name)
+            assert got.is_dead(sid, name) == fresh.is_dead(sid, name)
+        for key in fresh.universe.keys:
+            assert got.available(sid, key) == fresh.available(sid, key)
 
 
 def assert_cache_matches_fresh(cache):
     """Patched analyses == from-scratch rebuilds (no getter rebuilds)."""
     program = cache.program
     v = program.version
+    assert_dataflow_matches_fresh(cache)
     assert cache._deps is not None and cache._deps[0] == v
     fresh = analyze_dependences(program)
     assert dep_keys(cache._deps[1]) == dep_keys(fresh)
@@ -92,11 +131,7 @@ class TestRegionalEqualsFresh:
         session = build_session(seed, 6)
         engine = session.engine
         cache = engine.cache
-        # materialize everything, then let events patch it from here on
-        cache.dependences()
-        cache.control_tree()
-        cache.summaries()
-        cache.pdg()
+        materialize(cache)
         assert_cache_matches_fresh(cache)
 
         rng = np.random.default_rng(seed)
@@ -122,13 +157,82 @@ class TestRegionalEqualsFresh:
         session = build_session(seed, 5)
         engine = session.engine
         cache = engine.cache
-        cache.dependences()
-        cache.control_tree()
-        cache.summaries()
-        cache.pdg()
+        materialize(cache)
         while engine.history.active():
             engine._reverse_engine.undo_last()
             assert_cache_matches_fresh(cache)
+
+    PARSEC_SRC = ("c = 1\n"
+                  "parbegin\n"
+                  "  x = c + 1\n"
+                  "  A(1) = x\n"
+                  "  t = 5\n"
+                  "section\n"
+                  "  y = c + 1\n"
+                  "  B(1) = y\n"
+                  "parend\n"
+                  "do i = 1, 8\n"
+                  "  s = B(i) + 1\n"
+                  "  C(i) = s * 2\n"
+                  "enddo\n"
+                  "write A(1) + B(1)\n"
+                  "write C(3)\n")
+
+    @pytest.mark.parametrize("seed", [1, 8, 14])
+    def test_parallel_tier_sessions(self, seed):
+        """PAR/PRV applies and undos, on generated programs and on one
+        with parallel sections, keep the maintained facts exact."""
+        kinds = ["prv", "par", "ctp", "dce", "cse", "cpp", "lur"]
+        if seed == 1:
+            engine = TransformationEngine(parse_program(self.PARSEC_SRC))
+        else:
+            engine = TransformationEngine(
+                generate_program(seed, GeneratorConfig(blocks=4)))
+        cache = engine.cache
+        materialize(cache)
+        rng = np.random.default_rng(seed)
+        parallel = 0
+        for step in range(10):
+            active = engine.history.active()
+            if active and rng.random() < 0.4:
+                rec = active[int(rng.integers(0, len(active)))]
+                try:
+                    engine.undo(rec.stamp)
+                except UndoError:
+                    continue
+            else:
+                stamps = apply_greedy(engine, 1, seed=seed + step,
+                                      kinds=kinds[step % 2:])
+                parallel += sum(engine.history.by_stamp(t).name
+                                in ("par", "prv") for t in stamps)
+            cache.update_after_events()
+            assert_cache_matches_fresh(cache)
+        assert parallel
+
+    BETWEEN_LOOPS_SRC = ("x = 1\n"
+                         "do i = 1, 4\n"
+                         "  A(i) = x + y\n"
+                         "enddo\n"
+                         "d = z + w\n"
+                         "do j = 1, 4\n"
+                         "  B(j) = A(j) + x\n"
+                         "enddo\n"
+                         "write B(2)\n")
+
+    def test_block_removed_between_loops(self):
+        """Deleting the only statement between two loops leaves both
+        loops' statements and facts in place but rewires their edges:
+        the second loop now flows from the first, and the facts that
+        flowed through the deleted block must not survive it."""
+        engine = TransformationEngine(parse_program(self.BETWEEN_LOOPS_SRC))
+        cache = engine.cache
+        materialize(cache)
+        (opp,) = [o for o in engine.find("dce")
+                  if engine.program.node(o.params["sid"]).target.name == "d"]
+        rec = engine.apply(opp)
+        assert_dataflow_matches_fresh(cache)
+        engine.undo(rec.stamp)
+        assert_dataflow_matches_fresh(cache)
 
     def test_full_strategy_matches_fresh(self):
         session = build_session(7, 4)
@@ -249,16 +353,16 @@ class TestGettersCatchUp:
         session = build_session(seed, 6)
         engine = session.engine
         cache = engine.cache
-        cache.dependences()
-        cache.control_tree()
-        cache.summaries()
-        cache.pdg()
+        materialize(cache)
         runs = cache.counters.dependence_runs
         updates = cache.counters.incremental_updates
+        df_runs = cache.counters.dataflow_runs
+        df_updates = cache.counters.dataflow_updates
         applied = 0
         for step in range(5):
             applied += len(apply_greedy(engine, 1, seed=seed + 50 + step))
             program = engine.program
+            assert_dataflow_matches_fresh(cache)
             assert dep_keys(cache.dependences()) == \
                 dep_keys(analyze_dependences(program))
             assert tree_signature(cache.control_tree()) == \
@@ -269,6 +373,48 @@ class TestGettersCatchUp:
         assert applied
         assert cache.counters.dependence_runs == runs
         assert cache.counters.incremental_updates > updates
+        assert cache.counters.dataflow_runs == df_runs
+        assert cache.counters.dataflow_updates > df_updates
+
+    def test_dataflow_rebuilds_when_unlogged_or_full(self):
+        """A version the log does not account for, and the from-scratch
+        strategy, both get a from-scratch data-flow run."""
+        session = build_session(9, 4)
+        engine = session.engine
+        program = engine.program
+        cache = engine.cache
+        maintained = cache.dataflow()
+        runs = cache.counters.dataflow_runs
+        updates = cache.counters.dataflow_updates
+        victim = next(s for s in program.walk()
+                      if program.parent_of(s.sid)[0] == 0)
+        ref = program.parent_of(victim.sid)
+        at = program.index_in_container(victim.sid)
+        with program.probe():
+            program.detach(victim.sid)
+            try:
+                trial = cache.dataflow()
+                assert cache.counters.dataflow_runs == runs + 1
+                assert cache.counters.dataflow_updates == updates
+                fresh = analyze_dataflow(program)
+                for s in program.walk():
+                    assert trial.reach_in[s.sid] == fresh.reach_in[s.sid]
+                    assert trial.live_out[s.sid] == fresh.live_out[s.sid]
+                assert victim.sid not in trial.reach_in
+            finally:
+                program.insert(ref, at, victim)
+        # the trial never cost the patchable facts
+        assert cache.dataflow() is maintained
+        assert cache.counters.dataflow_runs == runs + 1
+
+        full = build_session(9, 4, UndoStrategy(incremental_strategy=FULL))
+        cache = full.engine.cache
+        cache.dataflow()
+        runs = cache.counters.dataflow_runs
+        assert apply_greedy(full.engine, 1, seed=3)
+        cache.dataflow()
+        assert cache.counters.dataflow_runs == runs + 1
+        assert cache.counters.dataflow_updates == 0
 
     def test_full_strategy_getters_rebuild(self):
         session = build_session(9, 4, UndoStrategy(incremental_strategy=FULL))

@@ -154,6 +154,16 @@ class TestFlightRecorder:
         assert tracer.recorder.spans() == []
         assert tracer.recorder.completed == 4  # counters keep accumulating
 
+    def test_clear_drops_nothing(self):
+        tracer = Tracer(capacity=3)
+        for i in range(4):
+            with tracer.span(f"s{i}"):
+                pass
+        assert tracer.recorder.dropped == 1
+        tracer.recorder.clear()
+        assert tracer.recorder.dropped == 1
+        assert tracer.recorder.completed == 4
+
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             FlightRecorder(capacity=0)

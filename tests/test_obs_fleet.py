@@ -156,6 +156,21 @@ class TestTraceDrops:
         assert engine.tracer.recorder.drop_counter is \
             registry.counter("repro_trace_dropped_total")
 
+    def test_engine_counts_spans_in_the_registry_only(self):
+        from repro.core.engine import TransformationEngine
+        from repro.lang.parser import parse_program
+
+        registry = MetricsRegistry()
+        engine = TransformationEngine(parse_program(SRC), tracer=Tracer(),
+                                      metrics=registry)
+        engine.apply(engine.find("ctp")[0])
+        recorder = engine.tracer.recorder
+        assert recorder.completed == registry.value("repro_spans_total") > 0
+        recorder.clear()
+        # a cleared span was not dropped: both reads agree on zero
+        assert recorder.dropped == 0
+        assert registry.value("repro_trace_dropped_total") == 0
+
     def test_manager_aggregate_carries_span_totals(self, tmp_path):
         prog = tmp_path / "p.loop"
         prog.write_text(SRC)

@@ -95,6 +95,28 @@ class TestSafety:
         assert engine.source() == before
 
 
+    def test_safety_probe_is_a_counted_dataflow_run(self):
+        engine, p, _ = make_engine(
+            "a = 1\nd = a + 2\ndo i = 1, 3\n  A(i) = a\nenddo\n"
+            "write A(2)\n")
+        rec = engine.apply(engine.find("dce")[0])
+        cache = engine.cache
+        maintained = cache.dataflow()
+        runs = cache.counters.dataflow_runs
+        timed = cache.counters.time("dataflow")
+        assert engine.check_safety(rec.stamp).safe
+        assert cache.counters.dataflow_runs == runs + 1
+        assert cache.counters.time("dataflow") > timed
+        # the trial never replaced the facts the log keeps current
+        assert cache.dataflow() is maintained
+        assert cache.counters.dataflow_runs == runs + 1
+        # and a use of the restored value still breaks the probe
+        EditSession(engine).add_stmt(assign("q", var("d")),
+                                     Location.at(p, (0, "body"), 2))
+        assert not engine.check_safety(rec.stamp).safe
+        assert cache.counters.dataflow_runs == runs + 2
+
+
 class TestReversibility:
     def test_reversible_initially(self):
         engine, _, _ = make_engine("d = 99\nwrite 1\n")
