@@ -349,7 +349,10 @@ def _solve(cfg: CFG, flows: Mapping[int, FlowFacts],
     A block is *dirty* for an analysis when it has no counterpart in
     ``prev`` (same :attr:`~repro.analysis.cfg.BasicBlock.key`, same
     statements) or when its transfer function or its incoming edges
-    (outgoing, for liveness) changed.  A block's fixpoint value depends
+    (outgoing, for liveness) changed.  A block's reaching-definitions
+    kill set holds every definition of the names it kills, so a
+    definition that changes its name dirties every block killing the
+    old or the new name.  A block's fixpoint value depends
     only on the blocks that reach it (that it reaches, for liveness), so
     :func:`_fixpoint` re-solves only the components a dirty block or a
     changed value flows into; every other block keeps ``prev``'s facts.
@@ -391,6 +394,24 @@ def _solve(cfg: CFG, flows: Mapping[int, FlowFacts],
                 dirty_lv.add(bid)
             if was.key_bit != now.key_bit:
                 dirty_av.add(bid)
+    if prev is not None:
+        # A definition that keeps its bit but changes its name (INX's
+        # header swap) changes the kill set of every block that kills
+        # the old or the new name, though the value flowing out of its
+        # own block need not change.
+        defined = 0
+        for mask in def_masks.values():
+            defined |= mask
+        renamed: Set[str] = set()
+        for name, was in prev.def_masks.items():
+            moved = was & ~def_masks.get(name, 0) & defined
+            if moved:
+                renamed.add(name)
+                renamed.update(flows[s].def_name for s in iter_bits(moved))
+        for name in renamed:
+            for sid in iter_bits(def_masks.get(name, 0)):
+                if flows[sid].kills:
+                    dirty_rd.add(cfg.block_of[sid])
 
     reach_bits = dict(prev.reach_bits) if prev is not None else {}
     live_bits = dict(prev.live_bits) if prev is not None else {}

@@ -25,9 +25,9 @@ every inverse action (Figure 4, line 13).  This cache provides:
   through the control-dependence tree, the region summaries, and the
   PDG, so an undo no longer drops those caches wholesale;
 * **regional data-flow updates** — on their first read after a batch,
-  the data-flow facts are carried forward: the local facts come from
-  the index, and only the loops and blocks that a block whose transfer
-  function or edges changed can reach are re-solved
+  the getter carries the data-flow facts forward: the local facts come
+  from the index, and only the loops and blocks that a block whose
+  transfer function or edges changed can reach are re-solved
   (:func:`~repro.analysis.dataflow.update_dataflow`).  Facts of a
   version the log does not account for, and facts under
   ``strategy=FULL``, are from-scratch runs;
@@ -193,14 +193,7 @@ class AnalysisCache:
         self.policy = policy
         self.counters = WorkCounters()
         self._cfg: Optional[Tuple[int, CFG]] = None
-        #: facts the log can patch, and facts of an unlogged version
-        #: (a trial inside ``program.probe()``), kept apart so a trial
-        #: never costs the patchable facts.
         self._dataflow: Optional[Tuple[int, DataflowResult]] = None
-        self._trial_dataflow: Optional[Tuple[int, DataflowResult]] = None
-        #: set while the getter catches up: the facts are carried
-        #: forward on their first read after a batch, not on every batch.
-        self._dataflow_wanted = False
         self._deps: Optional[Tuple[int, DependenceGraph]] = None
         self._tree: Optional[Tuple[int, ControlDepTree]] = None
         self._pdg: Optional[Tuple[int, PDG]] = None
@@ -266,23 +259,19 @@ class AnalysisCache:
     def dataflow(self) -> DataflowResult:
         """The (version-checked, log-patched) data-flow facts.
 
-        A rebuild at a version the log accounts for reads the local
-        facts from the def/use index under a regional policy; one at an
-        unlogged version derives them fresh and is kept apart from the
-        patchable facts."""
-        self._dataflow_wanted = True
-        try:
-            self._catch_up(self._dataflow)
-        finally:
-            self._dataflow_wanted = False
+        Stale facts are carried forward here, on their first read after
+        a batch, not by :meth:`update_after_events`.  A rebuild at a
+        version the log accounts for reads the local facts from the
+        def/use index under a regional policy; facts of an unlogged
+        version (a trial inside ``program.probe()``) are derived fresh
+        and not kept, so a trial never costs the patchable facts."""
         v = self.program.version
-        if self._dataflow is not None and self._dataflow[0] == v:
-            return self._dataflow[1]
         if self._anchor() is None:
-            if self._trial_dataflow is None or self._trial_dataflow[0] != v:
-                self._trial_dataflow = (v, self._run_dataflow(None))
-            return self._trial_dataflow[1]
-        self._dataflow = (v, self._run_dataflow(self.current_index()))
+            return self._run_dataflow(None)
+        if self._dataflow is not None and self._dataflow[0] != v:
+            self._update_dataflow()
+        if self._dataflow is None:
+            self._dataflow = (v, self._run_dataflow(self.current_index()))
         return self._dataflow[1]
 
     def _run_dataflow(self, index: Optional[DefUseIndex]) -> DataflowResult:
@@ -368,7 +357,6 @@ class AnalysisCache:
         """Drop everything (used by the from-scratch baseline strategies)."""
         self._cfg = None
         self._dataflow = None
-        self._trial_dataflow = None
         self._deps = None
         self._tree = None
         self._pdg = None
@@ -425,18 +413,16 @@ class AnalysisCache:
         """Patch every *materialized* analysis after a change-event batch.
 
         This is Figure 4's line 13 ("dependence and data flow update")
-        made regional: the dependence graph is spliced, the data-flow
-        facts are re-iterated only downstream (upstream, for liveness)
-        of the blocks that changed — when the getter asks, since they
-        are carried forward from any earlier version, so a batch no one
-        reads them after costs nothing — the control tree is patched in
-        place (preserving untouched region ids), the summaries are
-        re-hung only where an endpoint was touched, and the PDG is
-        reassembled from the patched parts.  Analyses that were never
-        asked for are *not* built — the version-checked getters handle
-        them lazily.  ``strategy=FULL`` instead rebuilds the dependence
-        graph from scratch and drops the downstream caches wholesale
-        (the pre-regional baseline behavior).
+        made regional: the dependence graph is spliced, the control tree
+        is patched in place (preserving untouched region ids), the
+        summaries are re-hung only where an endpoint was touched, and
+        the PDG is reassembled from the patched parts.  Analyses that
+        were never asked for are *not* built — the version-checked
+        getters handle them lazily, and :meth:`dataflow` carries the
+        data-flow facts forward on its next read.  ``strategy=FULL``
+        instead rebuilds the dependence graph from scratch and drops
+        the downstream caches wholesale (the pre-regional baseline
+        behavior).
         """
         if strategy == FULL:
             if self._deps is not None:
@@ -465,9 +451,6 @@ class AnalysisCache:
             graph = self.update_dependences(events, strategy=REGIONAL)
         else:
             self._sync_index(events)
-        if (self._dataflow is not None and self._dataflow[0] != v
-                and self._dataflow_wanted):
-            self._update_dataflow()
 
         tree: Optional[ControlDepTree] = None
         if self._tree is not None:

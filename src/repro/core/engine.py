@@ -110,14 +110,18 @@ class TransformationEngine:
             else obs_metrics.REGISTRY
         if self.tracer.enabled:
             # ring wrap-around is otherwise silent; the counter is the
-            # only record of how many spans the flight recorder lost
+            # only record of how many spans the flight recorder lost.
+            # A session's tracer labels them, so one registry answers
+            # both the session's counts and the manager's totals.
+            session = self.tracer.common.get("session")
+            labels = {} if session is None else {"session": session}
             self.tracer.recorder.count_in(
                 self.metrics.counter(
                     "repro_spans_total",
-                    "spans the flight recorder completed"),
+                    "spans the flight recorder completed", **labels),
                 self.metrics.counter(
                     "repro_trace_dropped_total",
-                    "spans evicted off the flight-recorder ring"))
+                    "spans evicted off the flight-recorder ring", **labels))
         #: recent isolated observer failures, newest last — a raising
         #: ``command_observers`` callback is logged and recorded here,
         #: never allowed to corrupt the already-committed command.

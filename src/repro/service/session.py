@@ -589,7 +589,10 @@ class DurableSession:
         The ``latency`` block is derived from completed top-level
         command spans (see :meth:`_on_span`), so it covers every command
         executed through this handle — including failed ones — at the
-        span sink's histogram resolution.  ``explain_index_rows`` and
+        span sink's histogram resolution.  ``spans_recorded`` and
+        ``spans_dropped`` read the registry counters labelled with this
+        session's name, so they cover every handle of the session that
+        counted into this registry.  ``explain_index_rows`` and
         ``explain_index_bytes`` size the explain index (0 before this
         handle's first ``explain``).
         """

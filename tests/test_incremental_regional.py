@@ -234,6 +234,60 @@ class TestRegionalEqualsFresh:
         engine.undo(rec.stamp)
         assert_dataflow_matches_fresh(cache)
 
+    INX_KILL_SRC = ("do i = 1, 4\n"
+                    "  do j = 1, 4\n"
+                    "    A(i, j) = 1\n"
+                    "  enddo\n"
+                    "enddo\n"
+                    "i = 5\n"
+                    "if (c > 0) then\n"
+                    "  j = 7\n"
+                    "endif\n"
+                    "write j\n")
+
+    def test_interchange_renames_killed_definitions(self):
+        """INX swaps the headers: each keeps its sid but defines the
+        other loop variable, so ``i = 5`` now kills the inner header and
+        lets the outer one (now ``j``) reach ``write j``, though no value
+        flowing out of the nest changed."""
+        engine = TransformationEngine(parse_program(self.INX_KILL_SRC))
+        cache = engine.cache
+        materialize(cache)
+        outer = engine.program.body[0].sid
+        write = engine.program.body[-1].sid
+        (opp,) = engine.find("inx")
+        rec = engine.apply(opp)
+        assert_dataflow_matches_fresh(cache)
+        assert (outer, "j") in cache.dataflow().reaching(write, "j")
+        engine.undo(rec.stamp)
+        assert_dataflow_matches_fresh(cache)
+        assert (outer, "j") not in cache.dataflow().reaching(write, "j")
+
+    PRV_SPLIT_SRC = ("do i = 1, 8\n"
+                     "  t = B(i) + 1\n"
+                     "  do k = 1, 4\n"
+                     "    D(k) = k\n"
+                     "  enddo\n"
+                     "  C(i) = t * 2\n"
+                     "  t = C(i) + 1\n"
+                     "  E(i) = t\n"
+                     "enddo\n"
+                     "x = 3\n"
+                     "write C(2) + E(3) + x\n")
+
+    def test_privatization_renames_definitions_in_two_blocks(self):
+        """PRV turns both definitions of ``t``, on either side of a
+        nested loop, into stores to ``t_prv``; applying and undoing it
+        keeps the maintained facts exact."""
+        engine = TransformationEngine(parse_program(self.PRV_SPLIT_SRC))
+        cache = engine.cache
+        materialize(cache)
+        (opp,) = engine.find("prv")
+        rec = engine.apply(opp)
+        assert_dataflow_matches_fresh(cache)
+        engine.undo(rec.stamp)
+        assert_dataflow_matches_fresh(cache)
+
     def test_full_strategy_matches_fresh(self):
         session = build_session(7, 4)
         engine = session.engine

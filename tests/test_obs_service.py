@@ -277,6 +277,24 @@ class TestManagerAggregation:
             == sum(seqs.values())
         mgr.close_all()
 
+    def test_session_span_counts_are_the_sessions_own(self, tmp_path):
+        """Sessions sharing one registry each report their own span
+        counts, and the manager's totals are their sum."""
+        mgr = SessionManager(str(tmp_path), metrics=MetricsRegistry())
+        mgr.create("a", SRC)
+        mgr.apply("a", "cse")
+        mgr.create("b", SRC)
+        mgr.apply("b", "cse")
+        mgr.apply("b", "ctp")
+        a, b = mgr.metrics("a"), mgr.metrics("b")
+        totals = mgr.aggregate_metrics()["totals"]
+        assert 0 < a["spans_recorded"] < b["spans_recorded"]
+        assert a["spans_recorded"] + b["spans_recorded"] == \
+            totals["spans_recorded"]
+        assert a["spans_dropped"] == b["spans_dropped"] == \
+            totals["spans_dropped"] == 0
+        mgr.close_all()
+
     def test_lock_wait_and_hold_histograms_fill(self, tmp_path):
         reg = MetricsRegistry()
         mgr = SessionManager(str(tmp_path), metrics=reg)
