@@ -17,14 +17,16 @@ asserting both remove the same transformations.  The expected shape:
 baseline checks grow ~linearly in n; the regional path stays flat.
 """
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.analysis.incremental import FULL, REGIONAL
+from repro.analysis.incremental import FULL, REGIONAL, AnalysisCache
 from repro.bench.reporting import BenchReport, banner, ms, ratio, scaled
 from repro.core.undo import UndoStrategy
 from repro.lang.interp import traces_equivalent
-from repro.workloads.scenarios import build_session
+from repro.workloads.scenarios import apply_greedy, build_session
 
 REPORT = BenchReport("bench_e1_regional")
 
@@ -203,6 +205,64 @@ def test_e1_measured_dataflow_update_time():
     # gated by scripts/check_e10_gates.py: at the largest size, carrying
     # the facts forward must beat re-running the analysis
     REPORT.value("dataflow_update_speedup", round(per_run / per_update, 2))
+
+
+def find_sweep_timings(n: int, steps: int = 6):
+    """(sweeps, cached seconds, fresh seconds) of ``find`` over every
+    kind along a refill/undo cascade: after each undo of the oldest
+    active record, or refill of two applies, two sweeps (an ``opps``
+    read and the ``apply`` that indexes it) through the engine's cached
+    listings, against the same two sweeps on a cache without a log."""
+    session = build_session(SEED, n)
+    engine = session.engine
+    program = engine.program
+    kinds = sorted(engine.registry)
+    sweeps = 0
+    cached = fresh = 0.0
+    for step in range(steps):
+        active = engine.history.active()
+        if step % 2 == 0 and active:
+            engine.undo(active[0].stamp)
+        else:
+            apply_greedy(engine, 2, seed=SEED + step)
+        for _ in range(2):
+            start = time.perf_counter()
+            got = [engine.find(k) for k in kinds]
+            mid = time.perf_counter()
+            cache = AnalysisCache(program)
+            want = [engine.registry[k].find(program, cache) for k in kinds]
+            cached += mid - start
+            fresh += time.perf_counter() - mid
+            assert [[o.description for o in opps] for opps in got] == \
+                [[o.description for o in opps] for opps in want]
+            sweeps += 1
+    return sweeps, cached, fresh
+
+
+def test_e1_measured_find_sweep_time():
+    """E1e — ``find`` over every kind, served from the per-version
+    listing and the event-maintained def/use index, vs a cache without
+    a log (every analysis and the index built at the version).  Each
+    side keeps the best of three cascades."""
+    banner("E1e — measured find sweep time: cached listings vs a cache "
+           "without a log")
+    t = REPORT.table(["n transforms", "sweeps", "cached ms/sweep",
+                      "fresh ms/sweep", "speedup"],
+                     title="E1e — find sweep cost, cached vs fresh")
+    per_cached = per_fresh = 0.0
+    for n in SIZES:
+        runs = [find_sweep_timings(n) for _ in range(3)]
+        sweeps = runs[0][0]
+        per_cached = min(r[1] for r in runs) / sweeps
+        per_fresh = min(r[2] for r in runs) / sweeps
+        t.add(n, sweeps, ms(per_cached), ms(per_fresh),
+              ratio(per_fresh, per_cached))
+    t.show()
+    REPORT.value("find_sweep_cached_ms", round(1e3 * per_cached, 3))
+    REPORT.value("find_sweep_fresh_ms", round(1e3 * per_fresh, 3))
+    # gated by scripts/check_e10_gates.py: at the largest size, the
+    # cached listings must beat finding on a cache without a log
+    REPORT.value("find_speedup", round(per_fresh / per_cached, 2))
 
 
 @pytest.mark.benchmark(group="e1")

@@ -18,7 +18,10 @@ full-mode runs of ``benchmarks/bench_e10_compact.py`` and
   re-read the whole audit file;
 * ``dataflow_update_speedup > 1.0`` (E1) — at the largest session
   measured, carrying the data-flow facts forward after an undo beats
-  re-running the analysis from scratch.
+  re-running the analysis from scratch;
+* ``find_speedup > 1.0`` (E1) — at the largest session measured, a
+  ``find`` sweep over every kind served from the cached listings and
+  the maintained def/use index beats one on a cache without a log.
 
 These are the regressions the compact core exists to prevent: if any
 gate fails, an O(delta) path has silently degraded to the O(state)
@@ -42,6 +45,7 @@ GATES = [
     ("bench_e10_compact", "orderer_fold_speedup", "gt", 1.0),
     ("bench_e10_compact", "explain_index_speedup", "gt", 1.0),
     ("bench_e1_regional", "dataflow_update_speedup", "gt", 1.0),
+    ("bench_e1_regional", "find_speedup", "gt", 1.0),
 ]
 
 

@@ -5,7 +5,8 @@ Spawns the real thing (``python -m repro serve ROOT --port 0 --shards
 2 --slow-ms 0 --metrics-port 0`` as a subprocess), reads the bound
 ports from its ``metrics on`` and ``listening on`` lines, then drives
 a scripted conversation over a real socket: init, apply/undo, a batch,
-an audit round-trip check, the merged ``_`` verbs, the forensics verbs
+an audit round-trip check, ``opps``/``apply``/``undo`` on a generated
+program mirrored by an in-process engine, the merged ``_`` verbs, the forensics verbs
 (``_ slow``/``_ slo``), a scrape of the HTTP sidecar (``/healthz``,
 ``/metrics``), a fleet profiling window (``_ prof start|dump|stop``
 and ``/pprof?seconds=1`` under live apply/undo traffic, asserting
@@ -50,6 +51,62 @@ PAR_SRC = ("doall i = 1, 4\n"
            "write C(2)\n")
 
 STAMP_RE = re.compile(r"t(\d+)")
+
+
+def mirror_conversation(client, root: str) -> None:
+    """``opps``/``apply``/``undo`` on a generated program, every reply
+    compared with an in-process engine that runs the same commands.
+
+    The listing's order is on the wire (``apply <kind> <k>`` indexes
+    it), so each ``opps`` reply must equal the in-process listing, and
+    each command reply the in-process command's description.  The
+    in-process engine drops its analyses and listings before each
+    ``opps``, so it finds from scratch: a stale cached listing on the
+    server shows as a difference."""
+    from repro.core.commands import parse_verb
+    from repro.core.engine import TransformationEngine
+    from repro.lang.parser import parse_program
+    from repro.lang.printer import format_program
+    from repro.workloads.generator import GeneratorConfig, generate_program
+
+    source = format_program(generate_program(7, GeneratorConfig(blocks=4)))
+    path = os.path.join(root, "mirror.loop")
+    with open(path, "w") as fh:
+        fh.write(source)
+    expect("init echo (generated program)",
+           client.request(f"echo init {path}"), "created echo")
+    engine = TransformationEngine(parse_program(source))
+
+    def fresh_opps(*kind: str) -> str:
+        engine.cache.invalidate()
+        return engine.describe_opps(*kind)
+
+    def both(line: str, local: str) -> None:
+        got = client.request(f"echo {line}")
+        if got != local:
+            raise SystemExit(f"FAIL mirror {line!r}: wire {got!r} != "
+                             f"in-process {local!r}")
+
+    def run(verb: str, *args: str) -> None:
+        cmd = parse_verb(verb, list(args))
+        engine.execute(cmd)
+        both(" ".join((verb,) + args), cmd.describe())
+
+    kinds = sorted(engine.registry) * 2
+    steps = 0
+    for step, kind in enumerate(kinds):
+        both(f"opps {kind}", fresh_opps(kind))
+        opps = engine.find(kind)
+        if opps:
+            run("apply", kind, str(step % len(opps)))
+            steps += 1
+        active = engine.history.active()
+        if step % 3 == 2 and active:
+            run("undo", str(active[0].stamp))
+            steps += 1
+    both("opps", fresh_opps())
+    print(f"ok: mirror: {steps} apply/undo step(s) and "
+          f"{len(kinds) + 1} opps listing(s) equal in-process")
 
 
 def verify_traces(root: str, exemplars: list) -> None:
@@ -159,6 +216,7 @@ def main() -> int:
             print(f"ok: explain: {explained.splitlines()[0]}")
             expect("audit check (delta)",
                    client.request("delta audit check"), "ok:")
+            mirror_conversation(client, root)
 
             sessions = client.request("_ sessions").split()
             assert {"alpha", "bravo", "charlie"} <= set(sessions), sessions

@@ -200,6 +200,11 @@ class AnalysisCache:
         self._summaries: Optional[Tuple[int, RegionSummaries]] = None
         #: the persistent name → statement index behind regional updates.
         self._index: Optional[DefUseIndex] = None
+        #: an index built at a version the maintained one cannot serve.
+        self._built_index: Optional[Tuple[int, DefUseIndex]] = None
+        #: transformation → its opportunity listing at ``_listing_version``.
+        self._listings: Dict[object, tuple] = {}
+        self._listing_version: Optional[int] = None
         # log positions the index and each cached analysis are current
         # with (None: built at a version the log does not account for)
         self._index_cursor = 0
@@ -271,7 +276,9 @@ class AnalysisCache:
         if self._dataflow is not None and self._dataflow[0] != v:
             self._update_dataflow()
         if self._dataflow is None:
-            self._dataflow = (v, self._run_dataflow(self.current_index()))
+            index = (self.defuse_index()
+                     if self._logged() and self._regional() else None)
+            self._dataflow = (v, self._run_dataflow(index))
         return self._dataflow[1]
 
     def _run_dataflow(self, index: Optional[DefUseIndex]) -> DataflowResult:
@@ -324,15 +331,36 @@ class AnalysisCache:
             self._summ_cursor = self._anchor()
         return self._summaries[1]
 
-    def current_index(self) -> Optional[DefUseIndex]:
-        """The def/use index synced to the program, or ``None`` when the
-        log does not account for the program's version or the policy
-        does not maintain the index.  A trial that re-attaches deleted
-        statements (which the index does not hold) may read the facts
-        of every other statement here, if it asks before the trial."""
+    def index(self) -> DefUseIndex:
+        """A def/use index current with the program.
+
+        The event-maintained index when the log accounts for the
+        program's version under a regional policy; otherwise one built
+        at this version and kept until the version moves.  A trial that
+        re-attaches deleted statements (which the index does not hold)
+        may read the facts of every other statement here, if it asks
+        before the trial."""
         if self._logged() and self._regional():
             return self.defuse_index()
-        return None
+        v = self.program.version
+        if self._built_index is None or self._built_index[0] != v:
+            self._built_index = (v, DefUseIndex.build(self.program))
+        return self._built_index[1]
+
+    def listing(self, transformation) -> list:
+        """``transformation.find`` at the program's current version.
+
+        Found once per version and kind; every call returns a new list,
+        so a caller mutating it never changes the next listing."""
+        v = self.program.version
+        if self._listing_version != v:
+            self._listings.clear()
+            self._listing_version = v
+        got = self._listings.get(transformation)
+        if got is None:
+            got = self._listings[transformation] = tuple(
+                transformation.find(self.program, self))
+        return list(got)
 
     def defuse_index(self) -> DefUseIndex:
         """The persistent def/use index, built once and event-maintained."""
@@ -362,6 +390,8 @@ class AnalysisCache:
         self._pdg = None
         self._summaries = None
         self._index = None
+        self._built_index = None
+        self._listings.clear()
 
     # -- event-driven incremental updates --------------------------------------
 

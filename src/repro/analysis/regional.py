@@ -49,7 +49,20 @@ from repro.analysis.depend import (
     stmt_array_refs,
 )
 from repro.core.events import Event
-from repro.lang.ast_nodes import ArrayRef, Loop, Program, Stmt, stmt_defuse
+from repro.lang.ast_nodes import (
+    ArrayRef,
+    Assign,
+    BinOp,
+    Const,
+    DefUse,
+    Expr,
+    Loop,
+    Program,
+    Stmt,
+    UnaryOp,
+    VarRef,
+    stmt_defuse,
+)
 
 
 def bitset_to_sids(bits: int) -> List[int]:
@@ -91,6 +104,23 @@ def touched_statements(program: Program, events: Sequence[Event]) -> Set[int]:
     return out
 
 
+def _holds_const_binop(stmt: Stmt) -> bool:
+    """Does ``stmt`` hold a ``Const op Const`` subexpression?"""
+    stack: List[Expr] = [e for _slot, e in stmt.expr_slots()]
+    while stack:
+        e = stack.pop()
+        kind = type(e)
+        if kind is BinOp:
+            if type(e.left) is Const and type(e.right) is Const:
+                return True
+            stack += (e.left, e.right)
+        elif kind is ArrayRef:
+            stack += e.subscripts
+        elif kind is UnaryOp:
+            stack.append(e.operand)
+    return False
+
+
 # ---------------------------------------------------------------------------
 # The persistent def/use index
 # ---------------------------------------------------------------------------
@@ -101,7 +131,7 @@ class StmtFacts:
     """Cached per-statement analysis facts."""
 
     sid: int
-    du: object  # DefUse
+    du: DefUse
     #: the local data-flow facts, bits in the index's universe.
     flow: FlowFacts
     #: ``(name, ref, is_write)`` in source order within the statement.
@@ -123,6 +153,10 @@ class DefUseIndex:
     Each statement's facts also carry its local data-flow facts, with
     bit positions from :attr:`universe`: the data-flow analyses read
     them here instead of re-deriving them per run.
+
+    Three more sid bitsets bound the opportunity finders' scans:
+    ``const_defs`` (``v = const``), ``copy_defs`` (``v = w``) and
+    ``foldable`` (statements holding a ``Const op Const``).
     """
 
     def __init__(self) -> None:
@@ -130,6 +164,9 @@ class DefUseIndex:
         self.defs: Dict[str, int] = {}
         self.scalar_uses: Dict[str, int] = {}
         self.arrays: Dict[str, int] = {}
+        self.const_defs = 0
+        self.copy_defs = 0
+        self.foldable = 0
         self.universe = FlowUniverse()
 
     @classmethod
@@ -154,6 +191,13 @@ class DefUseIndex:
             self.scalar_uses[name] = self.scalar_uses.get(name, 0) | bit
         for name, _ref, _w in facts.refs:
             self.arrays[name] = self.arrays.get(name, 0) | bit
+        if isinstance(stmt, Assign) and isinstance(stmt.target, VarRef):
+            if isinstance(stmt.expr, Const):
+                self.const_defs |= bit
+            elif isinstance(stmt.expr, VarRef):
+                self.copy_defs |= bit
+        if _holds_const_binop(stmt):
+            self.foldable |= bit
 
     def discard(self, sid: int) -> None:
         """Remove one statement from every map (no-op when absent)."""
@@ -168,6 +212,9 @@ class DefUseIndex:
             self.scalar_uses[name] = self.scalar_uses.get(name, 0) & mask
         for name, _ref, _w in facts.refs:
             self.arrays[name] = self.arrays.get(name, 0) & mask
+        self.const_defs &= mask
+        self.copy_defs &= mask
+        self.foldable &= mask
 
     def refresh(self, program: Program, sids: Iterable[int]) -> None:
         """Re-derive the facts of ``sids`` from the current program.
@@ -179,7 +226,22 @@ class DefUseIndex:
             if program.has_node(sid) and program.is_attached(sid):
                 self._add(program.node(sid))
 
-    # -- candidate queries -----------------------------------------------------
+    # -- per-statement and candidate queries -------------------------------------
+
+    def du(self, stmt: Stmt) -> DefUse:
+        """``stmt``'s def/use sets: held ones from the index, a statement
+        it does not hold (detached, or never registered) derived fresh."""
+        facts = self.facts.get(stmt.sid)
+        return facts.du if facts is not None else stmt_defuse(stmt)
+
+    def readers_of(self, def_bits: int) -> Tuple[int, Set[str]]:
+        """``(readers, names)``: the names the statements in ``def_bits``
+        define, and the bitset of statements using any of them."""
+        names = {self.facts[sid].flow.def_name for sid in iter_bits(def_bits)}
+        readers = 0
+        for name in names:
+            readers |= self.scalar_uses.get(name, 0)
+        return readers, names
 
     def scalar_candidates(self, sid: int) -> int:
         """Bitset of statements that could share a scalar dependence.

@@ -104,12 +104,7 @@ class CliSession:
 
     def cmd_opps(self, args: List[str]) -> str:
         """``opps [name]`` — list opportunities."""
-        names = [args[0]] if args else sorted(self.engine.registry)
-        lines = []
-        for name in names:
-            for k, opp in enumerate(self.engine.find(name)):
-                lines.append(f"  {name}[{k}]: {opp.description}")
-        return "\n".join(lines) if lines else "(no opportunities)"
+        return self.engine.describe_opps(*args[:1])
 
     def cmd_apply(self, args: List[str]) -> str:
         """``apply <name> [k]`` — apply the k-th opportunity."""

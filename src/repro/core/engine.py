@@ -175,13 +175,24 @@ class TransformationEngine:
     # -- applying ---------------------------------------------------------------
 
     def find(self, name: str) -> List[Opportunity]:
-        """Opportunities for transformation ``name`` in the current program."""
-        return self.registry[name].find(self.program, self.cache)
+        """Opportunities for transformation ``name`` in the current program.
+
+        The listing is found once per program version and kept on the
+        analysis cache; each call returns a new list."""
+        return self.cache.listing(self.registry[name])
 
     def find_all(self) -> Dict[str, List[Opportunity]]:
         """Opportunities for every registered transformation."""
-        return {name: t.find(self.program, self.cache)
-                for name, t in self.registry.items()}
+        return {name: self.find(name) for name in self.registry}
+
+    def describe_opps(self, kind: Optional[str] = None) -> str:
+        """The ``opps`` reply: a ``  <kind>[<k>]: <description>`` line
+        per opportunity of ``kind`` (of every kind, sorted, when
+        ``None``), the CLI's and the server's alike."""
+        kinds = [kind] if kind is not None else sorted(self.registry)
+        lines = [f"  {name}[{k}]: {opp.description}"
+                 for name in kinds for k, opp in enumerate(self.find(name))]
+        return "\n".join(lines) or "(no opportunities)"
 
     # -- the transactional command path ------------------------------------------
 

@@ -436,11 +436,7 @@ class SessionServer(Front):
                 name, show_labels=bool(args and args[0] == "labels"))
         with self.manager.session(name) as session:
             if verb == "opps":
-                names = args[:1] or sorted(session.engine.registry)
-                lines = [f"  {kind}[{k}]: {o.description}"
-                         for kind in names
-                         for k, o in enumerate(session.engine.find(kind))]
-                return "\n".join(lines) or "(no opportunities)"
+                return session.engine.describe_opps(*args[:1])
             if verb in COMMAND_VERBS:
                 cmd = parse_verb(verb, args)
                 session.execute(cmd)
@@ -489,12 +485,9 @@ class SessionServer(Front):
                         return report.describe()
                     return error_reply("audit-mismatch",
                                        "; ".join(report.problems))
-                tail = int(args[0]) if args else 0
-                path = audit_path(session.dirpath)
-                # a positive tail reads only the file's end; 0 and
-                # negative counts slice the whole log
-                entries = read_audit(path, tail=tail) if tail > 0 \
-                    else read_audit(path)[-tail:]
+                # counts mean what ``tail_of`` says, as for ``trace``
+                tail = int(args[0]) if args else None
+                entries = read_audit(audit_path(session.dirpath), tail=tail)
                 return "\n".join(json.dumps(e, sort_keys=True)
                                  for e in entries) or "(no audit entries)"
             if verb == "snapshot":

@@ -123,7 +123,7 @@ def dead_value(var: str) -> Pred:
 def no_io(var: str) -> Pred:
     """The bound subtree contains no I/O statement."""
     def test(program, cache, b):
-        return not contains_io(program.node(b[var]))
+        return not contains_io(program.node(b[var]), cache.index())
 
     return Pred("no_io", (var,), test,
                 f"an I/O statement entered {var}", ("add", "move"))
@@ -218,7 +218,8 @@ def index_private(var: str) -> Pred:
         if not isinstance(loop, Loop):
             return False
         inside = {s.sid for s in subtree_stmts(loop)}
-        return not var_referenced(program, loop.var, exclude_sids=inside)
+        return not var_referenced(cache.index(), loop.var,
+                                  exclude_sids=inside)
 
     return Pred("index_private", (var,), test,
                 f"the index of {var} is referenced outside the loop",

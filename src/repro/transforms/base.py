@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.incremental import AnalysisCache
 from repro.core.actions import ActionApplier
@@ -286,6 +286,17 @@ class Transformation(abc.ABC):
     def table3_row(self) -> Dict[str, List[str]]:
         """The transformation's Table 3 row (disabling conditions)."""
         return {"safety": [], "reversibility": []}
+
+
+def candidate_stmts(program: Program, bits: int) -> Iterator[Stmt]:
+    """The attached statements in sid bitset ``bits``, in source order.
+
+    A finder that scans only its index candidates this way lists its
+    opportunities in the order a full ``program.walk()`` scan would."""
+    if bits:
+        for s in program.walk():
+            if bits >> s.sid & 1:
+                yield s
 
 
 # ---------------------------------------------------------------------------

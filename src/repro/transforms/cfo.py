@@ -31,6 +31,7 @@ from repro.transforms.base import (
     SafetyResult,
     Transformation,
     Violation,
+    candidate_stmts,
     modified_after,
     stmt_deleted_after,
 )
@@ -49,7 +50,7 @@ class ConstantFolding(Transformation):
 
     def find(self, program: Program, cache: AnalysisCache) -> List[Opportunity]:
         out: List[Opportunity] = []
-        for s in program.walk():
+        for s in candidate_stmts(program, cache.index().foldable):
             for slot, root in s.expr_slots():
                 for sub_path, node in walk_expr(root):
                     if (isinstance(node, BinOp)

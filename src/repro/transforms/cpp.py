@@ -36,6 +36,7 @@ from repro.transforms.base import (
     SafetyResult,
     Transformation,
     Violation,
+    candidate_stmts,
     modified_after,
     stmt_deleted_after,
 )
@@ -79,10 +80,15 @@ class CopyPropagation(Transformation):
     enables_published = False
 
     def find(self, program: Program, cache: AnalysisCache) -> List[Opportunity]:
+        # only a use of a name some ``v = w`` defines can be a hit
+        index = cache.index()
+        readers, names = index.readers_of(index.copy_defs)
         out: List[Opportunity] = []
-        for s in program.walk():
+        for s in candidate_stmts(program, readers):
             for path in _use_paths(s):
                 node = expr_at(s, path)
+                if node.name not in names:
+                    continue
                 hit = _copy_def(program, cache, s.sid, node.name)
                 if hit is None:
                     continue

@@ -120,7 +120,7 @@ class DeadCodeElimination(Transformation):
         cache = ctx.cache
         # every statement but the restored one keeps its indexed facts;
         # ask before the trial, which the log does not account for
-        index = cache.current_index()
+        index = cache.index()
         with program.probe():
             program.insert(ref, idx, program.node(sid))
             try:

@@ -38,11 +38,12 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.depend import fusion_preventing, linearize
 from repro.analysis.incremental import AnalysisCache
+from repro.analysis.regional import DefUseIndex
 from repro.core.actions import HEADER_PATH, HeaderSpec
 from repro.core.annotations import AnnotationStore
 from repro.core.history import TransformationRecord
 from repro.core.locations import Location
-from repro.lang.ast_nodes import Loop, Program, Stmt, stmt_defuse
+from repro.lang.ast_nodes import Loop, Program, Stmt
 from repro.transforms.base import (
     ApplyContext,
     Opportunity,
@@ -62,14 +63,15 @@ def _pseudo(loop: Loop, body: List[Stmt]) -> Loop:
                 loop.step.clone(), body)
 
 
-def _split_legal(program: Program, loop: Loop, boundary: int) -> bool:
+def _split_legal(program: Program, index: DefUseIndex, loop: Loop,
+                 boundary: int) -> bool:
     """Can ``loop`` split into body[:boundary] / body[boundary:]?"""
     g1 = loop.body[:boundary]
     g2 = loop.body[boundary:]
     if not g1 or not g2:
         return False
-    io1 = any(contains_io(s) for s in g1)
-    io2 = any(contains_io(s) for s in g2)
+    io1 = any(contains_io(s, index) for s in g1)
+    io2 = any(contains_io(s, index) for s in g2)
     if io1 and io2:
         return False
     # scalars flowing between the halves couple iterations after the
@@ -79,7 +81,7 @@ def _split_legal(program: Program, loop: Loop, boundary: int) -> bool:
         out: Set[str] = set()
         for s in stmts:
             for sub in subtree_stmts(s):
-                du = stmt_defuse(sub)
+                du = index.du(sub)
                 out |= set(du.defs if defs else du.uses)
                 if not defs:
                     out |= set(du.defs)  # a redefinition also observes order
@@ -115,12 +117,13 @@ class LoopFission(Transformation):
     enables_published = False
 
     def find(self, program: Program, cache: AnalysisCache) -> List[Opportunity]:
+        index = cache.index()
         out: List[Opportunity] = []
         for s in program.walk():
             if type(s) is not Loop or len(s.body) < 2:  # sequential only
                 continue
             for boundary in range(1, len(s.body)):
-                if _split_legal(program, s, boundary):
+                if _split_legal(program, index, s, boundary):
                     out.append(Opportunity(
                         self.name, {"loop": s.sid, "boundary": boundary},
                         f"split S{s.sid} ({s.var}) at {boundary}"))
@@ -180,7 +183,8 @@ class LoopFission(Transformation):
         # the halves must still be separable in this order
         merged = list(first.body) + list(second.body)
         pseudo = _pseudo(first, merged)
-        if not _split_legal(program, pseudo, len(first.body)):
+        if not _split_legal(program, ctx.cache.index(), pseudo,
+                            len(first.body)):
             if ctx.subtree_touched_by_active(first_sid, t) or \
                     ctx.subtree_touched_by_active(second_sid, t):
                 return SafetyResult.ok()

@@ -55,6 +55,7 @@ class LoopFusion(Transformation):
     enables_published = False
 
     def find(self, program: Program, cache: AnalysisCache) -> List[Opportunity]:
+        index = cache.index()
         out: List[Opportunity] = []
         containers = [(0, "body", program.body)]
         for s in program.walk():
@@ -66,7 +67,7 @@ class LoopFusion(Transformation):
                     continue  # sequential loops only (not DOALL)
                 if not a.header_equal(b):
                     continue
-                if contains_io(a) and contains_io(b):
+                if contains_io(a, index) and contains_io(b, index):
                     continue
                 if fusion_preventing(program, a, b):
                     continue

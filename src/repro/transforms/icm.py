@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from repro.analysis.incremental import AnalysisCache
+from repro.analysis.regional import DefUseIndex
 from repro.core.annotations import AnnotationStore
 from repro.core.history import TransformationRecord
 from repro.core.locations import Location
@@ -41,7 +42,6 @@ from repro.lang.ast_nodes import (
     VarRef,
     expr_arrays,
     expr_vars,
-    stmt_defuse,
 )
 from repro.transforms.base import (
     ApplyContext,
@@ -62,10 +62,10 @@ from repro.transforms.loop_utils import (
 )
 
 
-def _hoistable(program: Program, loop: Loop, stmt: Assign) -> bool:
+def _hoistable(index: DefUseIndex, loop: Loop, stmt: Assign) -> bool:
     """Check all invariance conditions for ``stmt`` within ``loop``."""
-    sd, su, aw, ar = loop_defs_uses(loop)
-    du = stmt_defuse(stmt)
+    sd, su, aw, ar = loop_defs_uses(loop, index)
+    du = index.du(stmt)
     # operands invariant
     if du.uses & sd:
         return False
@@ -79,7 +79,7 @@ def _hoistable(program: Program, loop: Loop, stmt: Assign) -> bool:
     if isinstance(stmt.target, VarRef):
         v = stmt.target.name
         for o in others:
-            odu = stmt_defuse(o)
+            odu = index.du(o)
             if v in odu.defs:
                 return False  # another definition of the target in the loop
             # when re-checking an already-hoisted statement, it sits
@@ -90,7 +90,7 @@ def _hoistable(program: Program, loop: Loop, stmt: Assign) -> bool:
                 return False
         if not at_least_once:
             exclude = {s.sid for s in order}
-            if var_referenced(program, v, exclude_sids=exclude):
+            if var_referenced(index, v, exclude_sids=exclude):
                 return False
         return True
     if isinstance(stmt.target, ArrayRef):
@@ -98,7 +98,7 @@ def _hoistable(program: Program, loop: Loop, stmt: Assign) -> bool:
             return False
         a = stmt.target.name
         for o in others:
-            odu = stmt_defuse(o)
+            odu = index.du(o)
             if a in odu.array_defs or a in odu.array_uses:
                 return False
         return True
@@ -117,12 +117,13 @@ class InvariantCodeMotion(Transformation):
     enables_published = True
 
     def find(self, program: Program, cache: AnalysisCache) -> List[Opportunity]:
+        index = cache.index()
         out: List[Opportunity] = []
         for s in program.walk():
             if type(s) is not Loop:  # sequential loops only (not DOALL)
                 continue
             for member in s.body:
-                if isinstance(member, Assign) and _hoistable(program, s, member):
+                if isinstance(member, Assign) and _hoistable(index, s, member):
                     out.append(Opportunity(
                         self.name, {"sid": member.sid, "loop": s.sid},
                         f"S{member.sid} invariant in loop S{s.sid}"))
@@ -158,7 +159,8 @@ class InvariantCodeMotion(Transformation):
                 "pattern statements changed kind",
                 code="icm.safety.kind-changed",
                 witness={"sid": sid, "loop_sid": loop_sid}))
-        if not _hoistable(program, loop, stmt):
+        index = ctx.cache.index()
+        if not _hoistable(index, loop, stmt):
             # code legally rearranged by active later transformations
             # (e.g. FUS merged another body into the loop) composes to a
             # correct program even though the raw precondition fails.
@@ -178,10 +180,10 @@ class InvariantCodeMotion(Transformation):
             i_s = program.index_in_container(sid)
             i_l = program.index_in_container(loop_sid)
             lo, hi = min(i_s, i_l), max(i_s, i_l)
-            tdu = stmt_defuse(stmt)
+            tdu = index.du(stmt)
             tnames = set(tdu.defs) | set(tdu.array_defs)
             for between in lst[lo + 1:hi]:
-                bdu = stmt_defuse(between)
+                bdu = index.du(between)
                 if tnames & (set(bdu.defs) | set(bdu.uses)
                              | set(bdu.array_defs) | set(bdu.array_uses)):
                     if ctx.attributed_to_active(between.sid, t,

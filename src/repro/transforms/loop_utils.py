@@ -4,17 +4,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
-from repro.lang.ast_nodes import (
-    ArrayRef,
-    Assign,
-    Const,
-    Expr,
-    Loop,
-    Program,
-    Stmt,
-    VarRef,
-    stmt_defuse,
-)
+from repro.analysis.regional import DefUseIndex
+from repro.lang.ast_nodes import Assign, Const, Loop, Program, Stmt
 
 
 def subtree_stmts(stmt: Stmt) -> List[Stmt]:
@@ -26,7 +17,8 @@ def subtree_stmts(stmt: Stmt) -> List[Stmt]:
     return out
 
 
-def loop_defs_uses(loop: Loop) -> Tuple[Set[str], Set[str], Set[str], Set[str]]:
+def loop_defs_uses(loop: Loop, index: DefUseIndex
+                   ) -> Tuple[Set[str], Set[str], Set[str], Set[str]]:
     """``(scalar defs, scalar uses, arrays written, arrays read)`` of the
     loop's entire subtree, including the header (which defines the loop
     variable)."""
@@ -35,7 +27,7 @@ def loop_defs_uses(loop: Loop) -> Tuple[Set[str], Set[str], Set[str], Set[str]]:
     aw: Set[str] = set()
     ar: Set[str] = set()
     for s in subtree_stmts(loop):
-        du = stmt_defuse(s)
+        du = index.du(s)
         sd |= du.defs
         su |= du.uses
         aw |= du.array_defs
@@ -57,9 +49,9 @@ def const_trip_count(loop: Loop) -> Optional[int]:
     return max(0, int(n))
 
 
-def contains_io(stmt: Stmt) -> bool:
+def contains_io(stmt: Stmt, index: DefUseIndex) -> bool:
     """True when the subtree contains a ``read`` or ``write`` statement."""
-    return any(stmt_defuse(s).is_io for s in subtree_stmts(stmt))
+    return any(index.du(s).is_io for s in subtree_stmts(stmt))
 
 
 def is_simple_body(loop: Loop) -> bool:
@@ -67,16 +59,13 @@ def is_simple_body(loop: Loop) -> bool:
     return all(isinstance(s, Assign) for s in loop.body)
 
 
-def var_referenced(program: Program, name: str, *,
+def var_referenced(index: DefUseIndex, name: str, *,
                    exclude_sids: Set[int]) -> bool:
     """Does any attached statement outside ``exclude_sids`` mention ``name``?"""
-    for s in program.walk():
-        if s.sid in exclude_sids:
-            continue
-        du = stmt_defuse(s)
-        if name in du.defs or name in du.uses:
-            return True
-    return False
+    bits = index.defs.get(name, 0) | index.scalar_uses.get(name, 0)
+    for sid in exclude_sids:
+        bits &= ~(1 << sid)
+    return bits != 0
 
 
 def tight_nest(program: Program, loop: Loop) -> Optional[Loop]:

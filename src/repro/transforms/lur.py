@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.analysis.incremental import AnalysisCache
+from repro.analysis.regional import DefUseIndex
 from repro.core.actions import HEADER_PATH, HeaderSpec
 from repro.core.annotations import AnnotationStore
 from repro.core.history import TransformationRecord
@@ -38,7 +39,6 @@ from repro.lang.ast_nodes import (
     Loop,
     Program,
     VarRef,
-    stmt_defuse,
     walk_expr,
 )
 from repro.transforms.base import (
@@ -55,14 +55,14 @@ from repro.transforms.base import (
 from repro.transforms.loop_utils import const_trip_count, is_simple_body
 
 
-def _unrollable(loop: Loop) -> bool:
+def _unrollable(loop: Loop, index: DefUseIndex) -> bool:
     trip = const_trip_count(loop)
     if trip is None or trip < 2 or trip % 2 != 0:
         return False
     if not loop.body or not is_simple_body(loop):
         return False
     for s in loop.body:
-        if loop.var in stmt_defuse(s).defs:
+        if loop.var in index.du(s).defs:
             return False
     return True
 
@@ -88,9 +88,10 @@ class LoopUnrolling(Transformation):
     enables_published = False
 
     def find(self, program: Program, cache: AnalysisCache) -> List[Opportunity]:
+        index = cache.index()
         out: List[Opportunity] = []
         for s in program.walk():
-            if type(s) is Loop and _unrollable(s):  # sequential only
+            if type(s) is Loop and _unrollable(s, index):  # sequential only
                 out.append(Opportunity(
                     self.name, {"loop": s.sid},
                     f"unroll S{s.sid} ({s.var}) by 2"))

@@ -59,11 +59,12 @@ class LoopParallelization(Transformation):
 
     def find(self, program: Program, cache: AnalysisCache) -> List[Opportunity]:
         graph = cache.dependences()
+        index = cache.index()
         out: List[Opportunity] = []
         for s in program.walk():
             if type(s) is not Loop:  # already parallel, or not a loop
                 continue
-            if contains_io(s):
+            if contains_io(s, index):
                 continue  # interleaving tasks would scramble the I/O stream
             if not loop_parallelizable(graph, s):
                 continue
@@ -107,7 +108,7 @@ class LoopParallelization(Transformation):
                 "parallelized statement is no longer a doall",
                 code="par.safety.kind-changed",
                 witness={"parloop": par_sid}))
-        if contains_io(doall):
+        if contains_io(doall, ctx.cache.index()):
             return SafetyResult.broken(Violation(
                 "an I/O statement entered the parallelized loop",
                 code="par.safety.io-introduced",

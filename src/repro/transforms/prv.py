@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.analysis.incremental import AnalysisCache
+from repro.analysis.regional import DefUseIndex
 from repro.core.annotations import AnnotationStore
 from repro.core.history import TransformationRecord
 from repro.lang.ast_nodes import (
@@ -69,7 +70,8 @@ def _occurrence_paths(stmt, var: str) -> List[Tuple[str, ...]]:
     return paths
 
 
-def _privatizable(program: Program, loop: Loop) -> List[str]:
+def _privatizable(program: Program, index: DefUseIndex,
+                  loop: Loop) -> List[str]:
     """Scalars eligible for privatization in ``loop``, in first-def order.
 
     Conservative eligibility: every occurrence of the scalar sits in a
@@ -83,7 +85,7 @@ def _privatizable(program: Program, loop: Loop) -> List[str]:
     out: List[str] = []
     seen = set()
     for member in loop.body:
-        du = stmt_defuse(member)
+        du = index.du(member)
         for t in sorted(du.defs):
             if t in seen or t == loop.var:
                 continue
@@ -94,20 +96,20 @@ def _privatizable(program: Program, loop: Loop) -> List[str]:
                 continue  # first touching member must be a pure def of t
             # the first body member referencing t must be this def
             first = next((m for m in loop.body
-                          if t in stmt_defuse(m).defs
-                          or t in stmt_defuse(m).uses), None)
+                          if t in index.du(m).defs
+                          or t in index.du(m).uses), None)
             if first is not member:
                 continue
-            if any(t in stmt_defuse(program.node(sid)).defs
-                   or t in stmt_defuse(program.node(sid)).uses
+            if any(t in index.du(program.node(sid)).defs
+                   or t in index.du(program.node(sid)).uses
                    for sid in nested_sids):
                 continue  # occurrence under nested control flow
-            if var_referenced(program, t, exclude_sids=subtree_sids):
+            if var_referenced(index, t, exclude_sids=subtree_sids):
                 continue  # live outside the loop
             priv = _private_name(t)
-            if var_referenced(program, priv, exclude_sids=set()) or any(
-                    priv in stmt_defuse(program.node(sid)).array_defs
-                    or priv in stmt_defuse(program.node(sid)).array_uses
+            if var_referenced(index, priv, exclude_sids=set()) or any(
+                    priv in index.du(program.node(sid)).array_defs
+                    or priv in index.du(program.node(sid)).array_uses
                     for sid in subtree_sids if program.is_attached(sid)):
                 continue  # the private name is already taken
             out.append(t)
@@ -126,11 +128,12 @@ class ScalarPrivatization(Transformation):
     enables_published = False
 
     def find(self, program: Program, cache: AnalysisCache) -> List[Opportunity]:
+        index = cache.index()
         out: List[Opportunity] = []
         for s in program.walk():
             if type(s) is not Loop:  # sequential loops only (not DOALL)
                 continue
-            for t in _privatizable(program, s):
+            for t in _privatizable(program, index, s):
                 out.append(Opportunity(
                     self.name, {"loop": s.sid, "var": t},
                     f"privatize {t} in loop S{s.sid} as "
@@ -167,10 +170,11 @@ class ScalarPrivatization(Transformation):
             return SafetyResult.ok()  # every privatized statement is gone
         # the base scalar must still be dead outside the privatized
         # statements: a new reader would observe the missing final value.
+        index = ctx.cache.index()
         for s in program.walk():
             if s.sid in occ_sids:
                 continue
-            du = stmt_defuse(s)
+            du = index.du(s)
             if var in du.defs or var in du.uses:
                 if ctx.attributed_to_active(s.sid, t, ("md", "mv", "add", "cp")):
                     continue

@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.analysis.incremental import AnalysisCache
+from repro.analysis.regional import DefUseIndex
 from repro.core.actions import HEADER_PATH, HeaderSpec
 from repro.core.annotations import AnnotationStore
 from repro.core.history import TransformationRecord
@@ -47,12 +48,12 @@ from repro.transforms.loop_utils import (
 CANDIDATE_STRIPS = (4, 2, 8)
 
 
-def _fresh_var(program: Program, base: str) -> str:
+def _fresh_var(index: DefUseIndex, base: str) -> str:
     """An index name not referenced anywhere in the program."""
     k = 0
     while True:
         name = f"{base}_o" if k == 0 else f"{base}_o{k}"
-        if not var_referenced(program, name, exclude_sids=set()):
+        if not var_referenced(index, name, exclude_sids=set()):
             return name
         k += 1
 
@@ -89,7 +90,7 @@ class StripMining(Transformation):
         loop_sid = opp.params["loop"]
         strip = opp.params["strip"]
         loop = ctx.program.node(loop_sid)
-        outer_var = _fresh_var(ctx.program, loop.var)
+        outer_var = _fresh_var(ctx.cache.index(), loop.var)
         ctx.record.pre_pattern = {
             "loop": loop_sid, "strip": strip,
             "header": HeaderSpec.of(loop), "outer_var": outer_var,
@@ -152,7 +153,8 @@ class StripMining(Transformation):
                          "strip": strip}))
         # the fresh index must still be private to the pair
         pair_sids = {s.sid for s in subtree_stmts(outer)}
-        if var_referenced(program, post["outer_var"], exclude_sids=pair_sids):
+        if var_referenced(ctx.cache.index(), post["outer_var"],
+                          exclude_sids=pair_sids):
             return SafetyResult.broken(Violation(
                 f"outer index {post['outer_var']} is referenced outside "
                 "the strip nest",

@@ -63,7 +63,9 @@ def index_signature(index):
     maps = tuple(
         {name: bitset_to_sids(s) for name, s in m.items() if s}
         for m in (index.defs, index.scalar_uses, index.arrays))
-    return facts, maps
+    candidates = tuple(bitset_to_sids(bits) for bits in (
+        index.const_defs, index.copy_defs, index.foldable))
+    return facts, maps, candidates
 
 
 def materialize(cache):

@@ -40,6 +40,7 @@ from repro.obs.provenance import (
     render_explanation,
     stamp_trees,
 )
+from repro.obs.trace import tail_of
 from repro.service.server import SessionServer
 from repro.service.session import DurableSession, SessionManager
 from tests.helpers import make_engine
@@ -466,8 +467,8 @@ class TestCliExitCodes:
     def test_audit_tails_equal_the_whole_file_slice(self, tmp_path,
                                                     capsys):
         """``<s> audit <n>`` and ``audit --tail n`` parse only the
-        file's end and reply exactly what slicing the whole file did,
-        garbage lines skipped."""
+        file's end and both reply ``tail_of(whole, n)`` — 0 nothing, a
+        negative count everything — garbage lines skipped."""
         root = self.scripted(tmp_path)
         path = audit_path(os.path.join(root, "s"))
         lines = open(path).read().splitlines()
@@ -478,16 +479,17 @@ class TestCliExitCodes:
         whole = read_audit(path)
         assert [e["seq"] for e in whole] == [1, 2, 3, 4]
         server = SessionServer(SessionManager(root))
+        def reply(entries):
+            return "\n".join(json.dumps(e, sort_keys=True)
+                             for e in entries) or "(no audit entries)"
+
+        assert server.handle_line("s audit") == reply(whole)
         for n in range(-2, len(whole) + 3):
-            if n > 0:
-                assert read_audit(path, tail=n) == whole[-n:]
-            want = "\n".join(json.dumps(e, sort_keys=True)
-                             for e in whole[-n:]) or "(no audit entries)"
-            assert server.handle_line(f"s audit {n}") == want
+            shown = tail_of(whole, n)
+            assert read_audit(path, tail=n) == shown
+            assert server.handle_line(f"s audit {n}") == reply(shown)
             capsys.readouterr()
             assert main(["audit", root, "s", "--tail", str(n)]) == 0
-            shown = whole[len(whole) - min(n, len(whole)):] \
-                if n >= 0 else whole
             assert capsys.readouterr().out == "".join(
                 json.dumps(e, sort_keys=True) + "\n" for e in shown)
         server.manager.close_all()
