@@ -81,8 +81,9 @@ def test_inter_region_dependence_summarised_on_lcr():
 def test_summaries_maintained_incrementally():
     """F3b — summaries are patched across undos, not rebuilt.
 
-    The region summaries survive an undo (same object, patched in
-    place), and the measured patch time is reported next to the initial
+    The region summaries survive an undo (same object, patched in place
+    on their first read after it: once, over every step of the
+    cascade), and the measured patch time is reported next to the initial
     build time via the new ``WorkCounters`` timers.
     """
     banner("Figure 3b — incremental summary maintenance across undos")
@@ -96,10 +97,11 @@ def test_summaries_maintained_incrementally():
         cache = engine.cache
         summ = cache.summaries()  # materialize (also builds tree + deps)
         engine.undo(session.applied[0])
+        # the first read after the undo patches the same summaries
+        # object, never rebuilds it
+        assert cache.summaries() is summ
         snap = cache.counters.snapshot()
         assert snap["summary_updates"] >= 1
-        # the same summaries object was patched, never rebuilt
-        assert cache.summaries() is summ
         t.add(n, snap["summary_updates"], 0,
               ms(snap["timers"].get("summaries_build", 0.0)),
               ms(snap["timers"].get("summaries_update", 0.0)))

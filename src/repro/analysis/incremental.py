@@ -1,46 +1,45 @@
-"""Instrumented analysis cache with event-driven incremental updates.
+"""Instrumented analysis cache whose getters patch themselves on read.
 
 The undo engine needs fresh data-flow and dependence information after
-every inverse action (Figure 4, line 13).  This cache provides:
+every inverse action (Figure 4, line 13).  No one pushes that update:
+each maintained analysis keeps its version, its value and the log
+position it is current with, and its getter brings it up to date on the
+first read after a batch.  This cache provides:
 
 * **version-checked laziness** — analyses are recomputed only when the
-  program actually changed since they were built;
-* **getters that catch up from the log** — a stale dependence graph,
-  control tree, summary set or PDG is patched by
-  :meth:`AnalysisCache.update_after_events` (after applies as after
-  undos) when the log accounts for the program's current version: the
-  applier stamps ``program.version`` on the log after every event.  A
-  mutation outside the log (the spec compiler's safety pre-image)
-  leaves the two apart; the getter then rebuilds, and what it builds
-  gets no cursor, so it is never patched.  A non-regional ``policy``
-  always rebuilds;
-* **genuinely regional dependence updates** — after a change-event batch
-  :meth:`AnalysisCache.update_dependences` re-examines only the pairs
-  with an endpoint in the touched region, via the persistent
-  :class:`~repro.analysis.regional.DefUseIndex`.  There is **no
-  full-program fallback** on this path; the from-scratch run lives
-  behind ``strategy=FULL`` as the benchmark baseline;
-* **event-threaded downstream patching** —
-  :meth:`AnalysisCache.update_after_events` pushes the same event batch
-  through the control-dependence tree, the region summaries, and the
-  PDG, so an undo no longer drops those caches wholesale;
-* **regional data-flow updates** — on their first read after a batch,
-  the getter carries the data-flow facts forward: the local facts come
-  from the index, and only the loops and blocks that a block whose
-  transfer function or edges changed can reach are re-solved
+  program actually changed since they were built, and only when read;
+* **one catch-up rule** — a stale dependence graph, control tree,
+  summary set or data-flow result is patched from ``log.since(cursor)``
+  (after applies as after undos) when the log accounts for the
+  program's current version: the applier stamps ``program.version`` on
+  the log after every event.  Otherwise the getter rebuilds.  A mutation
+  outside the log (the spec compiler's safety pre-image) leaves the two
+  apart; what is built then gets no cursor, so it is never patched.  A
+  non-regional ``policy`` (``use_incremental=False`` or
+  ``incremental_strategy="full"``, the from-scratch baselines) always
+  rebuilds;
+* **regional dependence splices** — :meth:`AnalysisCache.dependences`
+  re-examines only the pairs with an endpoint in the touched region, via
+  the persistent :class:`~repro.analysis.regional.DefUseIndex`.  There is
+  **no full-program fallback** on this path;
+* **patched downstream analyses** — the control-dependence tree is
+  patched in place (untouched region ids survive), the region summaries
+  are re-hung only where an endpoint was touched, over the tree they
+  were built on, and the PDG is assembled from the current tree and
+  graph;
+* **regional data-flow updates** — the local facts come from the index,
+  and only the loops and blocks that a block whose transfer function or
+  edges changed can reach are re-solved
   (:func:`~repro.analysis.dataflow.update_dataflow`).  Facts of a
-  version the log does not account for, and facts under
-  ``strategy=FULL``, are from-scratch runs;
+  version the log does not account for are from-scratch runs;
 * **work counters and wall-clock timers** — every path counts the node
   visits / pairs it examines and accumulates ``perf_counter`` time per
   analysis, so the benchmarks can compare incremental vs. from-scratch
   by measured time, not just by visited-pair counts.
 
-Cursor discipline: the cache holds the engine's :class:`EventLog` and a
-per-analysis cursor recording the log position each cached analysis is
-current with.  Updates always consume the *authoritative* slice
-``log.since(cursor)`` rather than trusting the caller-supplied batch, so
-a cache that missed intermediate batches still patches soundly.
+Because each analysis reads the authoritative slice of the log since its
+own cursor, one read after several batches patches once, over all of
+them, and an analysis nothing reads costs nothing.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.cfg import CFG, build_cfg
 from repro.analysis.control_dep import (
@@ -61,12 +60,8 @@ from repro.analysis.dataflow import (
     analyze_dataflow,
     update_dataflow,
 )
-from repro.analysis.depend import (
-    Dependence,
-    DependenceGraph,
-    analyze_dependences,
-)
-from repro.analysis.pdg import PDG, build_pdg
+from repro.analysis.depend import DependenceGraph, analyze_dependences
+from repro.analysis.pdg import PDG
 from repro.analysis.regional import (
     DefUseIndex,
     analyze_dependences_region,
@@ -178,10 +173,10 @@ class WorkCounters:
 class AnalysisCache:
     """Version-checked, event-patchable cache of every analysis.
 
-    The cache only *maintains* what is materialized: an event batch
-    patches the analyses that exist and leaves the rest to be lazily
-    (re)built on demand — a LIFO-only session that never asks for the
-    dependence graph pays nothing for it.
+    The cache only *maintains* what is read: a stale analysis is patched
+    by its getter on the next read, and one never asked for is never
+    built — a LIFO-only session that never asks for the dependence graph
+    pays nothing for it.
     """
 
     def __init__(self, program: Program, events: Optional[EventLog] = None,
@@ -234,23 +229,17 @@ class AnalysisCache:
         return policy is None or (policy.use_incremental and
                                   policy.incremental_strategy == REGIONAL)
 
-    def _catch_up(self, entry: Optional[Tuple[int, object]]) -> None:
-        """Patch a stale ``entry`` (and its peers) from the log, if the
-        log and the policy allow; otherwise the getter rebuilds it."""
-        if entry is None or entry[0] == self.program.version:
-            return
-        if self._logged() and self._regional():
-            self.update_after_events()
-
-    def _slice_since(self, cursor: int,
-                     fallback: Optional[Sequence[Event]]) -> List[Event]:
-        """The authoritative event slice since ``cursor``.
-
-        Falls back to the caller-supplied batch only when the cache was
-        constructed without an event log (direct library use)."""
-        if self.events is not None:
-            return self.events.since(cursor)
-        return list(fallback or ())
+    def _patch_events(self, entry: Optional[Tuple[int, object]],
+                      cursor: Optional[int]) -> Optional[List[Event]]:
+        """The events a stale ``entry`` is patched from, or ``None`` when
+        it is current or must be rebuilt: it was built at a version the
+        log does not account for, the log does not account for the
+        program's current version, or the policy is not regional."""
+        if (entry is None or entry[0] == self.program.version
+                or cursor is None or not self._logged()
+                or not self._regional()):
+            return None
+        return self.events.since(cursor)
 
     # -- cached getters -------------------------------------------------------
 
@@ -265,7 +254,7 @@ class AnalysisCache:
         """The (version-checked, log-patched) data-flow facts.
 
         Stale facts are carried forward here, on their first read after
-        a batch, not by :meth:`update_after_events`.  A rebuild at a
+        a batch.  A rebuild at a
         version the log accounts for reads the local facts from the
         def/use index under a regional policy; facts of an unlogged
         version (a trial inside ``program.probe()``) are derived fresh
@@ -288,10 +277,27 @@ class AnalysisCache:
         return res
 
     def dependences(self) -> DependenceGraph:
-        """The (version-checked, log-patched) dependence graph."""
-        self._catch_up(self._deps)
+        """The (version-checked, log-patched) dependence graph.
+
+        A stale graph is spliced on its first read after a batch: only
+        the pairs with an endpoint in the statements the events since
+        its cursor touched are re-examined, through the def/use index —
+        never the whole program."""
         v = self.program.version
-        if self._deps is None or self._deps[0] != v:
+        evs = self._patch_events(self._deps, self._dep_cursor)
+        if evs is not None:
+            with self.counters.timed("dependence_update"):
+                touched = touched_statements(self.program, evs)
+                result = analyze_dependences_region(
+                    self.program, touched, self.defuse_index())
+                merged = splice_dependences(self._deps[1].deps, result)
+                graph = DependenceGraph(self.program, merged,
+                                        result.visited_pairs)
+            self.counters.incremental_updates += 1
+            self.counters.incremental_pairs += result.visited_pairs
+            self._deps = (v, graph)
+            self._dep_cursor = self._log_end()
+        elif self._deps is None or self._deps[0] != v:
             with self.counters.timed("dependence_full"):
                 g = analyze_dependences(self.program)
             self.counters.dependence_runs += 1
@@ -301,30 +307,54 @@ class AnalysisCache:
         return self._deps[1]
 
     def control_tree(self) -> ControlDepTree:
-        """The (version-checked, log-patched) control-dependence tree."""
-        self._catch_up(self._tree)
+        """The (version-checked, log-patched) control-dependence tree.
+
+        A stale tree is patched in place, so untouched region ids (and
+        the summaries hung on them) survive."""
         v = self.program.version
-        if self._tree is None or self._tree[0] != v:
+        evs = self._patch_events(self._tree, self._tree_cursor)
+        if evs is not None:
+            tree = self._tree[1]
+            with self.counters.timed("control_tree_update"):
+                update_control_tree(tree, self.program, evs)
+            self.counters.control_tree_updates += 1
+            self._tree = (v, tree)
+            self._tree_cursor = self._log_end()
+        elif self._tree is None or self._tree[0] != v:
             with self.counters.timed("control_tree"):
                 self._tree = (v, build_control_dep_tree(self.program))
             self._tree_cursor = self._anchor()
         return self._tree[1]
 
     def pdg(self) -> PDG:
-        """The (version-checked, log-patched) program dependence graph."""
-        self._catch_up(self._pdg)
+        """The program dependence graph, assembled from the current
+        control tree and dependence graph."""
         v = self.program.version
         if self._pdg is None or self._pdg[0] != v:
+            tree, graph = self.control_tree(), self.dependences()
             with self.counters.timed("pdg_assemble"):
-                self._pdg = (v, build_pdg(self.program, self.control_tree(),
-                                          self.dependences()))
+                self._pdg = (v, PDG(self.program, tree, graph))
+            self.counters.pdg_assemblies += 1
         return self._pdg[1]
 
     def summaries(self) -> RegionSummaries:
-        """The (version-checked, log-patched) region-node summaries."""
-        self._catch_up(self._summaries)
+        """The (version-checked, log-patched) region-node summaries.
+
+        Stale summaries are patched only over the tree they were built
+        on (patched in place since); a rebuilt tree means a rebuild."""
         v = self.program.version
-        if self._summaries is None or self._summaries[0] != v:
+        evs = self._patch_events(self._summaries, self._summ_cursor)
+        if evs is not None and self._summaries[1].tree is self.control_tree():
+            summ = self._summaries[1]
+            touched = touched_statements(self.program, evs)
+            graph = self.dependences()
+            with self.counters.timed("summaries_update"):
+                update_summaries(summ, self.program, summ.tree, touched,
+                                 graph)
+            self.counters.summary_updates += 1
+            self._summaries = (v, summ)
+            self._summ_cursor = self._log_end()
+        elif self._summaries is None or self._summaries[0] != v:
             with self.counters.timed("summaries_build"):
                 self._summaries = (v, build_summaries(
                     self.program, self.control_tree(), self.dependences()))
@@ -366,23 +396,16 @@ class AnalysisCache:
         """The persistent def/use index, built once and event-maintained."""
         if self._index is None:
             self._index = DefUseIndex.build(self.program)
-            self._index_cursor = self._log_end()
-        else:
-            self._sync_index()
+        elif self.events is not None:
+            evs = self.events.since(self._index_cursor)
+            if evs:
+                self._index.refresh(self.program,
+                                    touched_statements(self.program, evs))
+        self._index_cursor = self._log_end()
         return self._index
 
-    def _sync_index(self, fallback: Optional[Sequence[Event]] = None) -> None:
-        """Replay unseen events into the index (no-op when not built)."""
-        if self._index is None:
-            return
-        evs = self._slice_since(self._index_cursor, fallback)
-        self._index_cursor = self._log_end()
-        if evs:
-            self._index.refresh(self.program,
-                                touched_statements(self.program, evs))
-
     def invalidate(self) -> None:
-        """Drop everything (used by the from-scratch baseline strategies)."""
+        """Drop everything; each analysis is rebuilt on its next read."""
         self._cfg = None
         self._dataflow = None
         self._deps = None
@@ -393,127 +416,20 @@ class AnalysisCache:
         self._built_index = None
         self._listings.clear()
 
-    # -- event-driven incremental updates --------------------------------------
+    def update_after_events(self) -> None:
+        """Bring every materialized analysis current now.
 
-    def update_dependences(self, events: Optional[Sequence[Event]] = None,
-                           strategy: str = REGIONAL) -> DependenceGraph:
-        """Refresh the dependence graph after a change-event batch.
-
-        ``strategy=REGIONAL`` (default) re-examines only touched × live
-        candidate pairs via the def/use index — never the whole program.
-        ``strategy=FULL`` reruns :func:`analyze_dependences`, the honest
-        from-scratch baseline the benchmarks compare against.  In both
-        cases ``incremental_pairs`` advances by the pairs *actually
-        examined*.
-        """
-        if self._deps is None or self._dep_cursor is None:
-            self._deps = None  # nothing the log can patch
-            return self.dependences()
-        v = self.program.version
-        if self._deps[0] == v:
-            # graph already current; just advance the cursor
-            self._dep_cursor = self._anchor()
-            return self._deps[1]
-
-        if strategy == FULL:
-            with self.counters.timed("dependence_update"):
-                graph = analyze_dependences(self.program)
-            self.counters.incremental_updates += 1
-            self.counters.incremental_pairs += graph.visited_pairs
-        else:
-            with self.counters.timed("dependence_update"):
-                index = self.defuse_index()
-                evs = self._slice_since(self._dep_cursor, events)
-                touched = touched_statements(self.program, evs)
-                old = self._deps[1]
-                result = analyze_dependences_region(self.program, touched,
-                                                    index)
-                merged = splice_dependences(old.deps, result)
-                graph = DependenceGraph(self.program, merged,
-                                        result.visited_pairs)
-            self.counters.incremental_updates += 1
-            self.counters.incremental_pairs += result.visited_pairs
-
-        self._deps = (v, graph)
-        self._dep_cursor = self._anchor()
-        return graph
-
-    def update_after_events(self, events: Optional[Sequence[Event]] = None,
-                            strategy: str = REGIONAL) -> None:
-        """Patch every *materialized* analysis after a change-event batch.
-
-        This is Figure 4's line 13 ("dependence and data flow update")
-        made regional: the dependence graph is spliced, the control tree
-        is patched in place (preserving untouched region ids), the
-        summaries are re-hung only where an endpoint was touched, and
-        the PDG is reassembled from the patched parts.  Analyses that
-        were never asked for are *not* built — the version-checked
-        getters handle them lazily, and :meth:`dataflow` carries the
-        data-flow facts forward on its next read.  ``strategy=FULL``
-        instead rebuilds the dependence graph from scratch and drops
-        the downstream caches wholesale (the pre-regional baseline
-        behavior).
-        """
-        if strategy == FULL:
-            if self._deps is not None:
-                self.update_dependences(events, strategy=FULL)
-            self._dataflow = None
-            self._tree = None
-            self._pdg = None
-            self._summaries = None
-            self._index = None
-            return
-
-        # analyses built off the log cannot be patched from it
-        if self._tree_cursor is None:
-            self._tree = None
-        if self._summ_cursor is None:
-            self._summaries = None
-        v = self.program.version
-        graph: Optional[DependenceGraph] = None
-        touched_for_summ: Set[int] = set()
-        if self._summaries is not None:
-            # capture the summary-relevant touched set before any cursor moves
-            evs = self._slice_since(self._summ_cursor, events)
-            touched_for_summ = touched_statements(self.program, evs)
-
-        if self._deps is not None:
-            graph = self.update_dependences(events, strategy=REGIONAL)
-        else:
-            self._sync_index(events)
-
-        tree: Optional[ControlDepTree] = None
-        if self._tree is not None:
-            tree = self._tree[1]
-            if self._tree[0] != v:
-                with self.counters.timed("control_tree_update"):
-                    evs = self._slice_since(self._tree_cursor, events)
-                    update_control_tree(tree, self.program, evs)
-                self.counters.control_tree_updates += 1
-                self._tree = (v, tree)
-            self._tree_cursor = self._anchor()
-
-        if self._summaries is not None:
-            summ = self._summaries[1]
-            if tree is None or graph is None:
-                # cannot patch without the (id-stable) tree and the graph
-                self._summaries = None
-            else:
-                if self._summaries[0] != v:
-                    with self.counters.timed("summaries_update"):
-                        update_summaries(summ, self.program, tree,
-                                         touched_for_summ, graph)
-                    self.counters.summary_updates += 1
-                    self._summaries = (v, summ)
-                self._summ_cursor = self._anchor()
-
-        if self._pdg is not None:
-            if tree is None or graph is None:
-                self._pdg = None
-            elif self._pdg[0] != v:
-                with self.counters.timed("pdg_assemble"):
-                    self._pdg = (v, PDG(self.program, tree, graph))
-                self.counters.pdg_assemblies += 1
+        Figure 4's line 13 needs no call: each getter patches its
+        analysis on the first read after a batch.  This reads every
+        analysis that exists, for callers that want the work done (or
+        measured) at one point; analyses never asked for stay unbuilt."""
+        for entry, getter in ((self._dataflow, self.dataflow),
+                              (self._deps, self.dependences),
+                              (self._tree, self.control_tree),
+                              (self._summaries, self.summaries),
+                              (self._pdg, self.pdg)):
+            if entry is not None:
+                getter()
 
     def _update_dataflow(self) -> None:
         """Carry the data-flow facts to the current version, regionally.

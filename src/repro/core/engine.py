@@ -134,7 +134,7 @@ class TransformationEngine:
                                        self.cache, self.registry,
                                        self.strategy, metrics=self.metrics)
         self._reverse_engine = ReverseUndoEngine(program, self.applier,
-                                                 self.history, self.cache,
+                                                 self.history,
                                                  metrics=self.metrics)
         if extra_transformations:
             for t in extra_transformations:

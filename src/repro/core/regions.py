@@ -19,7 +19,7 @@ those need a safety re-check after an undo.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Set
+from typing import Optional, Sequence, Set
 
 from repro.analysis.control_dep import ControlDepTree, region_of_container
 from repro.analysis.incremental import AnalysisCache
@@ -91,30 +91,6 @@ def record_footprint(program: Program,
             if program.has_node(csid) and program.is_attached(csid):
                 out.add(csid)
     return out
-
-
-def record_regions(program: Program, tree: ControlDepTree,
-                   record: TransformationRecord) -> Set[int]:
-    """Region ids of a record's footprint."""
-    rids: Set[int] = set()
-    for sid in record_footprint(program, record):
-        rid = tree.region_of.get(sid)
-        if rid is not None:
-            rids.add(rid)
-        # the containers a record owns (loop bodies it moved code into)
-        stmt = program.node(sid)
-        for slot in stmt.body_slots():
-            rids.add(region_of_container(tree, program, (sid, slot)))
-    for act in record.actions:
-        for loc in (act.from_loc, act.to_loc):
-            if loc is None:
-                continue
-            csid, _slot = loc.container
-            if csid == 0:
-                rids.add(0)
-            elif program.has_node(csid) and program.is_attached(csid):
-                rids.add(region_of_container(tree, program, loc.container))
-    return rids
 
 
 def _stmt_names(program: Program, sid: int) -> Set[str]:

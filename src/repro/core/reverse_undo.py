@@ -10,7 +10,9 @@ pattern is intact when its turn comes — no reversibility analysis is
 needed.  The price is collateral damage: removing ``t_i`` requires
 first removing all of ``t_{i+1} … t_n``, wanted or not.  ``undo_to``
 reports that collateral set so the E3 benchmark can compare it against
-the independent-order engine's dependence cone.
+the independent-order engine's dependence cone.  Like the main engine,
+it leaves the analysis cache alone: each cached analysis patches itself
+from the inverse actions' events on its next read.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.analysis.incremental import AnalysisCache
 from repro.core.actions import ActionApplier, ActionError
 from repro.core.history import History
 from repro.core.undo import UndoError
@@ -46,16 +47,11 @@ class ReverseUndoEngine:
     """Strict LIFO undo over the same history/applier as the main engine."""
 
     def __init__(self, program: Program, applier: ActionApplier,
-                 history: History, cache: AnalysisCache,
-                 incremental: bool = True,
+                 history: History,
                  metrics: Optional[obs_metrics.MetricsRegistry] = None):
         self.program = program
         self.applier = applier
         self.history = history
-        self.cache = cache
-        #: patch materialized analyses from the inverse-action events
-        #: instead of dropping the whole cache after every step.
-        self.incremental = incremental
         self.metrics = metrics if metrics is not None else obs_metrics.REGISTRY
 
     def undo_last(self) -> int:
@@ -64,7 +60,6 @@ class ReverseUndoEngine:
         if not active:
             raise UndoError("no active transformation to undo")
         rec = active[-1]
-        cursor = self.applier.events.cursor()
         for act in reversed(rec.actions):
             try:
                 self.applier.invert(act, rec.stamp)
@@ -72,10 +67,6 @@ class ReverseUndoEngine:
                 raise UndoError(
                     f"LIFO inverse of t{rec.stamp} failed: {exc}") from exc
         self.history.deactivate(rec.stamp)
-        if self.incremental:
-            self.cache.update_after_events(self.applier.events.since(cursor))
-        else:
-            self.cache.invalidate()
         return rec.stamp
 
     def undo_to(self, stamp: int) -> ReverseUndoReport:

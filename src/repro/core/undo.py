@@ -28,11 +28,16 @@ studies can quantify each ingredient:
 ``use_incremental``
     Update the dependence information from change events instead of
     re-running the whole analysis.  ``incremental_strategy`` selects the
-    updater: ``"regional"`` (default) patches every materialized analysis
-    from the events through the regional engine
-    (:meth:`AnalysisCache.update_after_events`), while ``"full"`` reruns
-    the from-scratch analysis — the baseline the benchmarks compare
-    against (see docs/PERFORMANCE.md).
+    updater: ``"regional"`` (default) lets each cached analysis patch
+    itself from the events on its first read after them, while
+    ``"full"`` reruns the from-scratch analysis — the baseline the
+    benchmarks compare against (see docs/PERFORMANCE.md).  Turning
+    ``use_incremental`` off selects the same from-scratch getters as
+    ``"full"``; both fields stay because ``session.json`` stores them.
+
+Line 13 is not a call: the :class:`AnalysisCache` getters read the
+event log since each analysis's own cursor, so the inverse actions'
+events are folded in by whichever check reads an analysis next.
 
 All three default to on — the paper's configuration.
 """
@@ -129,8 +134,9 @@ class UndoStrategy:
     use_heuristic: bool = True
     use_regional: bool = True
     use_incremental: bool = True
-    #: ``"regional"`` (event-driven patching) or ``"full"`` (from-scratch
-    #: baseline); only consulted when ``use_incremental`` is on.
+    #: ``"regional"`` (patch on read from the events) or ``"full"``
+    #: (from-scratch baseline); only consulted when ``use_incremental``
+    #: is on.
     incremental_strategy: str = "regional"
 
 
@@ -299,14 +305,10 @@ class UndoEngine:
         self.history.deactivate(rec.stamp)
         report.undone.append(rec.stamp)
 
-        # line 13: dependence and data flow update — patch every
-        # materialized analysis from the change events
+        # line 13: dependence and data flow update — done by the cache's
+        # getters, each patching its analysis on the first read after
+        # these events
         events = self.applier.events.since(cursor)
-        if self.strategy.use_incremental:
-            self.cache.update_after_events(
-                events, strategy=self.strategy.incremental_strategy)
-        else:
-            self.cache.invalidate()
 
         # line 15: determine affected region (code + data-flow coordinates)
         region: Optional[Set[int]] = None

@@ -94,10 +94,13 @@ class TestAnalysisCache:
             "c = 1\nx = c + 2\nwrite x\n"
             "do i = 1, 4\n  A(i) = B(i)\nenddo\nwrite A(2)\n")
         engine.cache.dependences()
-        cursor = engine.events.cursor()
-        rec = engine.apply(engine.find("ctp")[0])
-        events = engine.events.since(cursor)
-        updated = engine.cache.update_dependences(events)
+        counters = engine.cache.counters
+        runs, updates = counters.dependence_runs, counters.incremental_updates
+        engine.apply(engine.find("ctp")[0])
+        # the read patches the graph from the apply's events
+        updated = engine.cache.dependences()
+        assert counters.incremental_updates == updates + 1
+        assert counters.dependence_runs == runs
         fresh = analyze_dependences(p)
         key = lambda d: (d.src, d.dst, d.kind, d.var, d.directions, d.carried)
         assert sorted(map(key, updated.deps)) == sorted(map(key, fresh.deps))
@@ -105,10 +108,10 @@ class TestAnalysisCache:
     def test_incremental_counters_advance(self):
         engine, p, _ = make_engine("c = 1\nx = c\nwrite x\n")
         engine.cache.dependences()
-        cursor = engine.events.cursor()
         engine.apply(engine.find("ctp")[0])
-        engine.cache.update_dependences(engine.events.since(cursor))
+        engine.cache.dependences()
         assert engine.cache.counters.incremental_updates == 1
+        assert engine.cache.counters.dependence_runs == 1
 
 
 class TestTwoLevelView:

@@ -11,6 +11,7 @@ every kind of event batch and under both update strategies.
 import numpy as np
 import pytest
 
+from tests.helpers import FoldThenFail, user_edit
 from repro.analysis.incremental import FULL, REGIONAL, AnalysisCache
 from repro.core.engine import TransformationEngine
 from repro.core.locations import Location
@@ -20,19 +21,8 @@ from repro.lang.ast_nodes import Assign, BinOp, Const, VarRef
 from repro.lang.parser import parse_program
 from repro.service.serde import value_to_doc
 from repro.spec import CTP_SPEC, DCE_SPEC, LRV_SPEC, compile_spec
-from repro.transforms.cfo import ConstantFolding
 from repro.workloads.generator import GeneratorConfig, generate_program
 from repro.workloads.scenarios import apply_greedy
-
-
-class FoldThenFail(ConstantFolding):
-    """A CFO whose apply fails after its action: the engine rolls back."""
-
-    name = "cfo_fail"
-
-    def apply_actions(self, ctx, opp):
-        super().apply_actions(ctx, opp)
-        raise RuntimeError("injected failure after the fold")
 
 
 def rows(opps):
@@ -64,20 +54,6 @@ def assert_listings_fresh(engine):
         assert rows(engine.find(name)) == want, name
 
 
-def edit(engine, rng):
-    """One user edit: insert ``v = 1 + 2`` at the top, or delete a
-    top-level assignment."""
-    program = engine.program
-    session = EditSession(engine)
-    tops = [s for s in program.body if isinstance(s, Assign)]
-    if tops and rng.random() < 0.5:
-        session.delete_stmt(tops[int(rng.integers(0, len(tops)))].sid)
-    else:
-        stmt = Assign(VarRef("e%d" % program.version),
-                      BinOp("+", Const(1), Const(2)))
-        session.add_stmt(stmt, Location.at(program, (0, "body"), 0))
-
-
 @pytest.mark.parametrize("policy", [REGIONAL, FULL])
 @pytest.mark.parametrize("seed", [2, 7, 13])
 def test_listings_equal_fresh_find_after_every_batch(seed, policy):
@@ -106,7 +82,7 @@ def test_listings_equal_fresh_find_after_every_batch(seed, policy):
             with pytest.raises(RuntimeError):
                 engine.apply(opps[0])
         else:
-            edit(engine, rng)
+            user_edit(engine, rng)
         seen.add(kind)
         assert_listings_fresh(engine)
     assert seen == {"apply", "undo", "fail", "edit"}

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tests.helpers import FoldThenFail, user_edit
 from repro.analysis.control_dep import build_control_dep_tree, tree_signature
 from repro.analysis.dataflow import analyze_dataflow
 from repro.analysis.depend import analyze_dependences
@@ -79,13 +80,18 @@ def materialize(cache):
 
 def assert_dataflow_matches_fresh(cache):
     """The maintained data-flow facts, carried forward on this read (no
-    from-scratch run), == a from-scratch run: every fact of every
-    attached statement, and every bit query."""
+    from-scratch run), == a from-scratch run."""
     program = cache.program
     runs = cache.counters.dataflow_runs
     got = cache.dataflow()
     assert cache.counters.dataflow_runs == runs
     assert cache._dataflow == (program.version, got)
+    assert_dataflow_equals_fresh(got, program)
+
+
+def assert_dataflow_equals_fresh(got, program):
+    """``got`` == a from-scratch run: every fact of every attached
+    statement, and every bit query."""
     fresh = analyze_dataflow(program)
     sids = sorted(s.sid for s in program.walk())
     assert sorted(got.reach_in) == sorted(fresh.reach_in) == sids
@@ -160,8 +166,13 @@ class TestRegionalEqualsFresh:
         engine = session.engine
         cache = engine.cache
         materialize(cache)
+        runs = cache.counters.dependence_runs
         while engine.history.active():
+            updates = cache.counters.incremental_updates
             engine._reverse_engine.undo_last()
+            cache.update_after_events()
+            assert cache.counters.incremental_updates == updates + 1
+            assert cache.counters.dependence_runs == runs
             assert_cache_matches_fresh(cache)
 
     PARSEC_SRC = ("c = 1\n"
@@ -308,6 +319,166 @@ class TestRegionalEqualsFresh:
         assert a.engine.source() == b.engine.source()
 
 
+GETTERS = ("dataflow", "dependences", "control_tree", "summaries", "pdg")
+#: getter → (its cache entry, the counter its patches advance, the
+#: counter or timer its from-scratch builds advance)
+WORK = {"dataflow": ("_dataflow", "dataflow_updates", "dataflow_runs"),
+        "dependences": ("_deps", "incremental_updates", "dependence_runs"),
+        "control_tree": ("_tree", "control_tree_updates", "control_tree"),
+        "summaries": ("_summaries", "summary_updates", "summaries_build"),
+        "pdg": ("_pdg", "pdg_assemblies", "pdg_assemble")}
+
+
+def record_reads(cache):
+    """Wrap every getter on ``cache``; returns the set of getters read
+    since it was last cleared (reads inside other getters included)."""
+    reads = set()
+    for name in GETTERS:
+        def read(getter=getattr(cache, name), name=name):
+            reads.add(name)
+            return getter()
+        setattr(cache, name, read)
+    return reads
+
+
+def kept(cache, getter):
+    """An analysis's cache entry and the patches it has cost so far; a
+    patch or a rebuild replaces the entry."""
+    entry, patched, _built = WORK[getter]
+    return getattr(cache, entry), getattr(cache.counters, patched)
+
+
+def work(cache, getter):
+    """(patches, builds) an analysis has cost so far."""
+    snap = cache.counters.snapshot()
+    _entry, patched, built = WORK[getter]
+    return snap[patched], snap.get(built, snap["timers"].get(built, 0.0))
+
+
+class TestLazyMultiBatch:
+    """Figure 4's line 13 is done on read: batches nothing reads leave
+    every analysis as it was, and one read after several batches brings
+    each analysis current at once, equal to a from-scratch run."""
+
+    @pytest.mark.parametrize("policy", [REGIONAL, FULL])
+    @pytest.mark.parametrize("seed", [2, 7, 13])
+    def test_batches_wait_for_the_first_read(self, seed, policy):
+        engine = TransformationEngine(
+            generate_program(seed, GeneratorConfig(blocks=4)),
+            UndoStrategy(incremental_strategy=policy),
+            extra_transformations=[FoldThenFail()])
+        assert apply_greedy(engine, 6, seed=seed)
+        cache = engine.cache
+        materialize(cache)
+        tree, summ = cache._tree[1], cache._summaries[1]
+        reads = record_reads(cache)
+        rng = np.random.default_rng(seed)
+        seen = set()
+        for kind in ("apply", "edit", "fail", "undo") * 2:
+            # what a batch applies is found before it starts
+            opps = [o for name in ("ctp", "cse", "dce", "cfo", "cpp")
+                    for o in engine.find(name)]
+            failing = engine.find("cfo_fail")
+            reads.clear()
+            before = {g: kept(cache, g) for g in GETTERS}
+            if kind == "apply" and opps:
+                engine.apply(opps[0])
+            elif kind == "undo":
+                active = [r for r in engine.history.active()
+                          if not r.is_edit]
+                try:
+                    engine.undo(active[0].stamp)
+                except UndoError:
+                    continue
+            elif kind == "fail" and failing:
+                with pytest.raises(RuntimeError):
+                    engine.apply(failing[0])
+            elif kind == "edit":
+                user_edit(engine, rng)
+            else:
+                continue
+            seen.add(kind)
+            # an analysis nobody read was neither patched nor rebuilt
+            # (DCE's safety check runs trial data flow of its own)
+            for g in GETTERS:
+                if g not in reads:
+                    entry, patches = kept(cache, g)
+                    assert entry is before[g][0], (kind, g)
+                    assert patches == before[g][1], (kind, g)
+        assert seen == {"apply", "undo", "fail", "edit"}
+
+        program = engine.program
+        v = program.version
+        # the undos read the control tree; nothing read these three
+        for g in ("dependences", "summaries", "pdg"):
+            assert getattr(cache, WORK[g][0])[0] != v, g
+        stale = {g for g in GETTERS if getattr(cache, WORK[g][0])[0] != v}
+        before = {g: work(cache, g) for g in GETTERS}
+        cache.update_after_events()
+        for g in GETTERS:
+            (patches, builds), (patches0, builds0) = work(cache, g), before[g]
+            if g not in stale:
+                assert (patches, builds) == (patches0, builds0), g
+            elif g == "pdg":
+                assert patches == patches0 + 1
+            elif policy == REGIONAL:
+                # patched once, over every batch since its last read
+                assert (patches, builds) == (patches0 + 1, builds0), g
+            else:
+                assert patches == patches0 and builds > builds0, g
+        if policy == REGIONAL:
+            assert cache._tree[1] is tree and cache._summaries[1] is summ
+
+        assert all(getattr(cache, WORK[g][0])[0] == v for g in GETTERS)
+        # current with the whole log: the next read patches only what
+        # comes after it
+        end = engine.events.cursor()
+        assert cache._dep_cursor == cache._tree_cursor == end
+        assert cache._summ_cursor == end
+        assert_dataflow_equals_fresh(cache._dataflow[1], program)
+        assert dep_keys(cache._deps[1]) == \
+            dep_keys(analyze_dependences(program))
+        assert tree_signature(cache._tree[1]) == \
+            tree_signature(build_control_dep_tree(program))
+        assert summary_signature(cache._summaries[1]) == \
+            summary_signature(build_summaries(program))
+        pdg = cache._pdg[1]
+        assert pdg.tree is cache._tree[1] and pdg.dgraph is cache._deps[1]
+
+    STRIP_SRC = ("do i = 1, 8\n"
+                 "  A(i) = B(i) + 1\n"
+                 "  C(i) = A(i) * 2\n"
+                 "enddo\n"
+                 "write C(3)\n")
+
+    def test_summaries_rebuild_over_a_rebuilt_tree(self):
+        """A trial read rebuilds the control tree at a version the log
+        does not account for; the summaries hung on the old tree are
+        then rebuilt, not patched over a tree they do not match."""
+        engine = TransformationEngine(parse_program(self.STRIP_SRC))
+        cache = engine.cache
+        materialize(cache)
+        summ = cache._summaries[1]
+        engine.apply(engine.find("smi")[0])
+        program = engine.program
+        victim = program.body[-1]
+        ref = program.parent_of(victim.sid)
+        at = program.index_in_container(victim.sid)
+        with program.probe():
+            program.detach(victim.sid)
+            try:
+                cache.control_tree()
+            finally:
+                program.insert(ref, at, victim)
+        updates = cache.counters.summary_updates
+        got = cache.summaries()
+        assert got is not summ
+        assert cache.counters.summary_updates == updates
+        assert got.tree is cache.control_tree()
+        assert summary_signature(got) == \
+            summary_signature(build_summaries(program))
+
+
 class TestDefUseIndex:
     @pytest.mark.parametrize("seed", [2, 23])
     def test_index_tracks_program_through_session(self, seed):
@@ -332,10 +503,13 @@ class TestHonestCounters:
         engine = session.engine
         cache = engine.cache
         full = cache.dependences()
+        runs = cache.counters.dependence_runs
         before = cache.counters.incremental_pairs
         engine.undo(session.applied[-1])
+        cache.dependences()
         examined = cache.counters.incremental_pairs - before
         assert cache.counters.incremental_updates >= 1
+        assert cache.counters.dependence_runs == runs
         assert 0 < examined
         # the honest count is also what the updated graph reports
         assert cache._deps[1].visited_pairs <= examined
@@ -349,7 +523,9 @@ class TestHonestCounters:
         cache.dependences()
         assert cache.counters.time("dependence_full") > 0.0
         engine.undo(session.applied[-1])
+        cache.dependences()
         assert cache.counters.time("dependence_update") > 0.0
+        assert cache.counters.dependence_runs == 1
         snap = cache.counters.snapshot()
         assert "dependence_update" in snap["timers"]
 
@@ -375,7 +551,9 @@ class TestAcceptanceCriterion:
             cache.dependences()
             c0 = cache.counters.snapshot()
             engine.undo(applied[-1])
+            cache.dependences()
             c1 = cache.counters.snapshot()
+            assert c1["dependence_runs"] == c0["dependence_runs"]
             baseline = analyze_dependences(engine.program)
             examined = c1["incremental_pairs"] - c0["incremental_pairs"]
             updates = c1["incremental_updates"] - c0["incremental_updates"]

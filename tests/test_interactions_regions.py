@@ -16,7 +16,6 @@ from repro.core.regions import (
     dirty_statements,
     record_footprint,
     record_in_region,
-    record_regions,
 )
 from repro.transforms.registry import REGISTRY, all_names
 

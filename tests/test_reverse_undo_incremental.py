@@ -77,9 +77,12 @@ class TestIncrementalCacheDeeper:
             "do i = 1, 8\n  A(i) = B(i) + 1\nenddo\n"
             "do i = 1, 8\n  C(i) = A(i) * 2\nenddo\nwrite C(3)\n")
         engine.cache.dependences()
-        cursor = engine.events.cursor()
-        rec = engine.apply(engine.find("fus")[0])
-        updated = engine.cache.update_dependences(engine.events.since(cursor))
+        counters = engine.cache.counters
+        runs, updates = counters.dependence_runs, counters.incremental_updates
+        engine.apply(engine.find("fus")[0])
+        updated = engine.cache.dependences()
+        assert counters.incremental_updates == updates + 1
+        assert counters.dependence_runs == runs
         fresh = analyze_dependences(p)
         key = lambda d: (d.src, d.dst, d.kind, d.var, d.directions, d.carried)
         assert sorted(map(key, updated.deps)) == sorted(map(key, fresh.deps))
