@@ -42,6 +42,13 @@ incremental structures:
    large-cascade's refill/undo-oldest loop, at ~100/300/600 commands:
    the audit part of ``explain`` from the index vs from the file, the
    fold's cost per undo entry, and the provenance bytes by node kind.
+7. **Active-set snapshots.**  Undone records are written once to the
+   session's side file, so a full snapshot carries the active records
+   plus one short row per run of undone stamps.  Measured on the tiny
+   program's ``apply ctp``/``undo`` alternation at 100/200/400/800
+   commands: full-snapshot bytes, reopen ms and the heap a reopened
+   session holds, then a delta snapshot against an active-set full one
+   (bytes and write ms, reported for the decision on deleting deltas).
 
 All tables print with ``pytest benchmarks/bench_e10_compact.py -s``.
 """
@@ -49,6 +56,7 @@ All tables print with ``pytest benchmarks/bench_e10_compact.py -s``.
 import json
 import os
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -92,6 +100,10 @@ ORDERER_CYCLES = 5
 DATAFLOW_PROGRAMS = 4 if quick() else 12
 #: explain index: session lengths (commands) measured.
 EXPLAIN_LENGTHS = scaled([100, 300, 600])
+#: active-set snapshots: tiny-session lengths (commands) measured, and
+#: reopens timed per length.
+ACTIVE_SET_HISTORIES = scaled([100, 200, 400, 800])
+ACTIVE_SET_REOPENS = 5
 
 
 def _timed(fn):
@@ -469,3 +481,73 @@ def test_e10_explain_index(tmp_path):
                  round(kinds.get("skip", (0, 0))[1] / total, 4))
     # the index must beat re-reading the file once the session is long
     assert last_file > last_index
+
+
+# ---------------------------------------------------------------------------
+# 7. active-set snapshots: bytes, reopen and memory against history length
+# ---------------------------------------------------------------------------
+
+
+def active_set_row(dirpath: str, commands: int):
+    """Cut a full snapshot of a ``commands``-long tiny session, reopen
+    it, run one command and cut a delta; returns the row's values."""
+    s = DurableSession.create(dirpath, TINY_SRC, snapshot_every=0)
+    while s.seq < commands:
+        s.undo(s.apply("ctp", 0).stamp)
+    full_path = s.snapshot()
+    s.close()
+    reopen_s = []
+    for _ in range(ACTIVE_SET_REOPENS):
+        s, dt = _timed(lambda: DurableSession.open(dirpath))
+        reopen_s.append(dt)
+        s.close()
+    tracemalloc.start()
+    s = DurableSession.open(dirpath)
+    heap = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    s.apply("ctp", 0)
+    # the eviction snapshot both ways: payload built and written
+    base = s._base
+    deltas = SnapshotStore(os.path.join(dirpath, "delta"))
+    fulls = SnapshotStore(os.path.join(dirpath, "full"))
+    delta_path, delta_s = _timed(lambda: deltas.write(
+        s.seq, s._delta_payload(base), base=base.full_seq))
+    full_path2, full_s = _timed(lambda: fulls.write(
+        s.seq, {"journal_seq": s.seq, "engine": engine_to_doc(s.engine)}))
+    s.close()
+    return {"full_bytes": os.path.getsize(full_path),
+            "reopen_ms": 1e3 * float(np.median(reopen_s)),
+            "heap_kb": heap / 1024,
+            "delta_bytes": os.path.getsize(delta_path),
+            "delta_ms": 1e3 * delta_s,
+            "active_full_bytes": os.path.getsize(full_path2),
+            "active_full_ms": 1e3 * full_s}
+
+
+def test_e10_active_set_snapshots(tmp_path):
+    banner("E10 — active-set snapshots: bytes, reopen and memory vs "
+           "history length (tiny program)")
+    t = REPORT.table(
+        ["commands", "full snapshot B", "reopen", "reopened heap KiB",
+         "delta B", "delta write", "active full B", "active full write"],
+        title="E10 — active-set snapshots vs history length")
+    rows = {}
+    for n in ACTIVE_SET_HISTORIES:
+        row = rows[n] = active_set_row(str(tmp_path / f"s{n}"), n)
+        t.add(n, row["full_bytes"], f"{row['reopen_ms']:.2f} ms",
+              round(row["heap_kb"], 1), row["delta_bytes"],
+              f"{row['delta_ms']:.2f} ms", row["active_full_bytes"],
+              f"{row['active_full_ms']:.2f} ms")
+    t.show()
+    first, last = rows[ACTIVE_SET_HISTORIES[0]], rows[ACTIVE_SET_HISTORIES[-1]]
+    growth = last["full_bytes"] / first["full_bytes"]
+    REPORT.value("active_set_history_at_max", ACTIVE_SET_HISTORIES[-1])
+    REPORT.value("active_set_full_bytes_growth", round(growth, 4))
+    REPORT.value("active_set_reopen_growth",
+                 round(last["reopen_ms"] / first["reopen_ms"], 3))
+    REPORT.value("active_set_heap_growth",
+                 round(last["heap_kb"] / first["heap_kb"], 3))
+    REPORT.value("active_set_delta_bytes_ratio",
+                 round(last["delta_bytes"] / last["active_full_bytes"], 4))
+    # a full snapshot holds the active set, not the undone history
+    assert growth < 1.5

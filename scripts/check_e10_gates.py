@@ -16,6 +16,10 @@ full-mode runs of ``benchmarks/bench_e10_compact.py`` and
 * ``explain_index_speedup > 1.0`` — at the longest session measured,
   ``explain`` reads one stamp's indexed rows faster than it could
   re-read the whole audit file;
+* ``active_set_full_bytes_growth < 1.5`` — a full snapshot of the tiny
+  apply/undo session at the longest history measured is less than 1.5x
+  the one at the shortest: it holds the active records, and undone ones
+  stay in the side file (byte counts, so the gate holds on any host);
 * ``dataflow_update_speedup > 1.0`` (E1) — at the largest session
   measured, carrying the data-flow facts forward after an undo beats
   re-running the analysis from scratch;
@@ -44,6 +48,7 @@ GATES = [
     ("bench_e10_compact", "delta_snapshot_bytes_ratio", "lt", 1.0),
     ("bench_e10_compact", "orderer_fold_speedup", "gt", 1.0),
     ("bench_e10_compact", "explain_index_speedup", "gt", 1.0),
+    ("bench_e10_compact", "active_set_full_bytes_growth", "lt", 1.5),
     ("bench_e1_regional", "dataflow_update_speedup", "gt", 1.0),
     ("bench_e1_regional", "find_speedup", "gt", 1.0),
 ]

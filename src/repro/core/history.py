@@ -11,12 +11,19 @@ User edits are recorded here too (with ``name="edit"``): they consume an
 order stamp and leave annotations like any transformation, but they are
 not undoable through the transformation engines (the paper treats edits
 as the *trigger* for removing unsafe transformations, not as history).
+
+An undone record never changes again, and only provenance reads it
+(Figure 4 re-checks *active* transformations).  A durable session
+therefore writes it once to a side file and may hold a
+:class:`StoredRecord` in its place: a stub that answers its stamp, name,
+state and action-id range, and loads the rest on first read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.actions import ActionRecord
 
@@ -44,10 +51,61 @@ class TransformationRecord:
     def is_edit(self) -> bool:
         return self.name == "edit"
 
+    @property
+    def action_ids(self) -> Optional[Tuple[int, int]]:
+        """First and last primitive-action id (``None`` without actions).
+
+        One record's actions are applied back to back, so their ids are
+        contiguous, and ids grow in stamp order."""
+        if not self.actions:
+            return None
+        return self.actions[0].action_id, self.actions[-1].action_id
+
     def describe(self) -> str:
         """Compact one-line rendering for reports and the CLI."""
         acts = ", ".join(a.describe() for a in self.actions)
         return f"t{self.stamp}:{self.name}[{acts}]"
+
+
+class StoredRecord(TransformationRecord):
+    """An undone record whose content lives in a store.
+
+    ``stamp``, ``name`` (hence ``is_edit``), ``active`` (always False)
+    and :attr:`action_ids` are answered without loading; reading
+    ``actions``, the patterns or ``params`` loads the record once through
+    ``store.load(self)``.  ``record`` seeds the loaded content (a stub
+    made for a record already in memory).
+    """
+
+    def __init__(self, stamp: int, name: str,
+                 action_ids: Optional[Tuple[int, int]], store,
+                 record: Optional[TransformationRecord] = None) -> None:
+        self.stamp = stamp
+        self.name = name
+        self.active = False
+        self.store = store
+        self._action_ids = action_ids
+        self._record = record
+
+    @property
+    def loaded(self) -> bool:
+        """Whether the content has been read from the store."""
+        return self._record is not None
+
+    def load(self) -> TransformationRecord:
+        """The full record (read from the store on the first call)."""
+        if self._record is None:
+            self._record = self.store.load(self)
+        return self._record
+
+    @property
+    def action_ids(self) -> Optional[Tuple[int, int]]:
+        return self._action_ids
+
+    actions = property(lambda self: self.load().actions)
+    pre_pattern = property(lambda self: self.load().pre_pattern)
+    post_pattern = property(lambda self: self.load().post_pattern)
+    params = property(lambda self: self.load().params)
 
 
 class History:
@@ -57,6 +115,12 @@ class History:
         self._records: List[TransformationRecord] = []
         self._by_stamp: Dict[int, TransformationRecord] = {}
         self._next_stamp = 1
+        # UNDO line 9's map: the first action id of each record with
+        # actions, ascending, and its stamp.  Only the newest record can
+        # still gain actions, so records before it are mapped once.
+        self._id_firsts: List[int] = []
+        self._id_stamps: List[int] = []
+        self._id_scan = 0  # index in _records where mapping resumes
         #: append-only journal of stamps whose record content changed
         #: (created, deactivated, or mutated through the action applier).
         #: Incremental consumers — the fingerprint maintainer, delta
@@ -127,16 +191,35 @@ class History:
         self._by_stamp[stamp].active = False
         self.mutations.append(stamp)
 
+    def store(self, stubs: Iterable[StoredRecord]) -> None:
+        """Hold each stub in place of the undone record with its stamp.
+
+        The content is unchanged, so no mutation is noted."""
+        for stub in stubs:
+            if self._by_stamp[stub.stamp].active:
+                raise ValueError(f"t{stub.stamp} is active; only undone "
+                                 "records are stored")
+            self._by_stamp[stub.stamp] = stub
+        self._records = [self._by_stamp[r.stamp] for r in self._records]
+
     def stamp_of_action(self, action_id: int) -> Optional[int]:
         """Map a primitive-action id back to its transformation's stamp.
 
         This is line 9 of the UNDO algorithm: "determine the
-        transformation that causes the action"."""
-        for rec in self._records:
-            for act in rec.actions:
-                if act.action_id == action_id:
-                    return rec.stamp
-        return None
+        transformation that causes the action".  Answered from the map
+        of action-id ranges, so stored records are not loaded."""
+        for rec in self._records[self._id_scan:]:
+            ids = rec.action_ids
+            if ids is not None and (not self._id_stamps
+                                    or rec.stamp > self._id_stamps[-1]):
+                self._id_firsts.append(ids[0])
+                self._id_stamps.append(rec.stamp)
+        self._id_scan = max(0, len(self._records) - 1)
+        at = bisect_right(self._id_firsts, action_id) - 1
+        if at < 0:
+            return None
+        ids = self._by_stamp[self._id_stamps[at]].action_ids
+        return self._id_stamps[at] if action_id <= ids[1] else None
 
     def __len__(self) -> int:
         return len(self._records)

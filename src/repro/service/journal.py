@@ -94,54 +94,82 @@ class JournalRecord:
         return f"JournalRecord(seq={self.seq!r}, cmd={self.cmd!r})"
 
 
-def _crc(seq: int, cmd: Dict[str, Any]) -> str:
-    body = json.dumps({"seq": seq, "cmd": cmd}, sort_keys=True,
-                      separators=(",", ":"))
-    return _crc_of(body.encode("utf-8"))
-
-
 def _crc_of(body: bytes) -> str:
     return hashlib.sha256(body).hexdigest()[:16]
 
 
-def format_record(seq: int, cmd: Dict[str, Any]) -> bytes:
-    """Render one journal line (newline-terminated UTF-8)."""
-    doc = {"seq": seq, "cmd": cmd, "crc": _crc(seq, cmd)}
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":"))
+def _dumps(doc: Dict[str, Any]) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def format_line(body_key: str, body: Any, num_key: str, num: int) -> bytes:
+    """Render one CRC-checked line ``{body_key, "crc", num_key}``.
+
+    The keys must sort as ``body_key < "crc" < num_key``; the CRC covers
+    the line without its ``crc`` field.  Journal records use ``cmd`` and
+    ``seq``; the undone-record side file (:mod:`repro.service.undone`)
+    uses ``body`` and ``stamp``.
+    """
+    crc = _crc_of(_dumps({body_key: body, num_key: num}).encode("utf-8"))
+    return (_dumps({body_key: body, "crc": crc, num_key: num})
             + "\n").encode("utf-8")
 
 
-#: a line is ``{"cmd":<cmd>,"crc":"<16 hex>","seq":<seq>}``; the CRC
-#: field sits a fixed distance before the ``seq`` key.
-_CMD_KEY = b'{"cmd":'
+def format_record(seq: int, cmd: Dict[str, Any]) -> bytes:
+    """Render one journal line (newline-terminated UTF-8)."""
+    return format_line("cmd", cmd, "seq", seq)
+
+
 _CRC_KEY = b',"crc":"'
-_SEQ_KEY = b',"seq":'
 _CRC_FIELD = len(_CRC_KEY) + 16 + 1
 
 
-def parse_record(line: bytes) -> Optional[JournalRecord]:
-    """Parse one journal line; ``None`` when torn or corrupt.
+def line_keys(body_key: str, num_key: str) -> Tuple[bytes, bytes]:
+    """The byte markers :func:`parse_line` looks for: the line's head
+    up to the body, and the number field's key."""
+    return (f'{{"{body_key}":'.encode("ascii"),
+            f',"{num_key}":'.encode("ascii"))
 
-    A line is the canonical rendering of ``{"cmd", "crc", "seq"}``, so
-    cutting ``"crc":"<16 hex>",`` out of it leaves exactly the
-    ``{"cmd", "seq"}`` body the CRC covers.  The check hashes that slice
-    of the bytes as written and reads the seq off the line's tail; the
-    command stays undecoded until :attr:`JournalRecord.cmd` is read.
+
+_JOURNAL_KEYS = line_keys("cmd", "seq")
+
+
+def parse_line(line: bytes,
+               keys: Tuple[bytes, bytes]) -> Optional[Tuple[int, bytes]]:
+    """Check one :func:`format_line` line; ``(num, body bytes)``, or
+    ``None`` when torn or corrupt.  ``keys`` come from :func:`line_keys`.
+
+    A line is the canonical rendering of ``{body_key, "crc", num_key}``,
+    so cutting ``"crc":"<16 hex>",`` out of it leaves exactly the body
+    the CRC covers.  The check hashes that slice of the bytes as written
+    and reads the number off the line's tail; the body is not decoded.
     """
-    at = line.rfind(_SEQ_KEY)
+    head, tail = keys
+    at = line.rfind(tail)
     crc_at = at - _CRC_FIELD
-    if crc_at < len(_CMD_KEY) or not line.startswith(_CMD_KEY + b"{") \
-            or not line.endswith(b"}") \
+    if crc_at < len(head) or not line.startswith(head) \
+            or line[len(head)] != ord("{") or not line.endswith(b"}") \
             or not line.startswith(_CRC_KEY, crc_at) \
             or line[at - 1] != ord('"'):
         return None
-    digits = line[at + len(_SEQ_KEY):-1]
+    digits = line[at + len(tail):-1]
     if not digits.isdigit():
         return None
     crc = line[crc_at + len(_CRC_KEY):at - 1]
     if _crc_of(line[:crc_at] + line[at:]).encode("ascii") != crc:
         return None
-    return JournalRecord(int(digits), raw=line[len(_CMD_KEY):crc_at])
+    return int(digits), line[len(head):crc_at]
+
+
+def parse_record(line: bytes) -> Optional[JournalRecord]:
+    """Parse one journal line; ``None`` when torn or corrupt.
+
+    The command stays undecoded until :attr:`JournalRecord.cmd` is read.
+    """
+    parsed = parse_line(line, _JOURNAL_KEYS)
+    if parsed is None:
+        return None
+    return JournalRecord(parsed[0], raw=parsed[1])
 
 
 def scan_journal(path: str) -> Tuple[List[JournalRecord], int, bool]:

@@ -11,6 +11,8 @@ Reopening a durable session:
    counted); if none exists, start from the session's genesis program
    source.  The snapshot's :class:`DeltaBase` lets the reopened session
    cut its next snapshot as a delta against the full one on disk.
+   Undone records stay in the side file (:mod:`repro.service.undone`)
+   as stubs; only the active records are decoded.
 4. **Replay** the journal tail — every command with a sequence number
    beyond the snapshot — through the *real* engine.  Replay is not a
    simulation: it runs the same ``find``/``apply``/``undo`` code paths
@@ -45,6 +47,7 @@ from repro.service.journal import (
     JournalRecord,
     repair_journal,
     rewrite_journal,
+    scan_journal,
 )
 from repro.service.serde import (
     KIND_META,
@@ -54,6 +57,7 @@ from repro.service.serde import (
     state_fingerprint,
 )
 from repro.service.snapshot import SnapshotStore, write_envelope
+from repro.service.undone import UNDONE_FILE, UndoneFile
 
 #: On-disk layout of one session directory.
 META_FILE = "session.json"
@@ -147,6 +151,22 @@ def replay_from_scratch(source: str, commands: List[Dict[str, Any]],
 # ---------------------------------------------------------------------------
 # Recovery proper
 # ---------------------------------------------------------------------------
+
+
+def undone_file(dirpath: str, meta: Dict[str, Any],
+                strategy: Optional[UndoStrategy] = None,
+                metrics: Optional[obs_metrics.MetricsRegistry] = None,
+                ) -> UndoneFile:
+    """The session's undone-record side file; a record that fails its
+    checks there is rebuilt from a replay of the whole journal."""
+    def rebuild():
+        records, _valid, _torn = scan_journal(
+            os.path.join(dirpath, JOURNAL_FILE))
+        return replay_from_scratch(meta["source"], [r.cmd for r in records],
+                                   strategy=strategy).history
+
+    return UndoneFile(os.path.join(dirpath, UNDONE_FILE), rebuild=rebuild,
+                      metrics=metrics)
 
 
 def migrate_journal(journal_path: str, records: List[JournalRecord],
@@ -251,6 +271,8 @@ class RecoveryResult:
     #: what the session's next delta snapshot is cut against (``None``:
     #: its next snapshot is full).
     delta_base: Optional[DeltaBase] = None
+    #: the side file the engine's stubs read.
+    undone: Optional[UndoneFile] = None
 
 
 def recover(dirpath: str, *, strategy: Optional[UndoStrategy] = None,
@@ -287,11 +309,13 @@ def recover(dirpath: str, *, strategy: Optional[UndoStrategy] = None,
                               metrics=registry)
         records = migrate_journal(journal_path, records, store)
         snap = store.latest()
+        undone = undone_file(dirpath, meta, strategy, registry)
 
         if snap is not None:
             snap_seq, payload = snap
             engine = engine_from_doc(payload["engine"], strategy=strategy,
-                                     tracer=tracer, metrics=registry)
+                                     tracer=tracer, metrics=registry,
+                                     undone=undone)
             delta_base = _delta_base(snap_seq, payload, engine)
             tail = [r for r in records if r.seq > snap_seq]
             seq = snap_seq
@@ -326,7 +350,7 @@ def recover(dirpath: str, *, strategy: Optional[UndoStrategy] = None,
                             snapshot_seq=snap_seq, torn_bytes=torn_bytes,
                             meta=meta,
                             skipped_snapshots=store.skipped_corrupt,
-                            delta_base=delta_base)
+                            delta_base=delta_base, undone=undone)
     if verify:
         have = {r.seq for r in records}
         missing = [s for s in range(1, seq + 1) if s not in have]

@@ -41,7 +41,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.actions import ActionKind, ActionRecord, HeaderSpec
 from repro.core.annotations import Annotation, AnnotationStore
 from repro.core.events import Event, EventKind, EventLog, chain_digest
-from repro.core.history import History, TransformationRecord
+from repro.core.history import History, StoredRecord, TransformationRecord
 from repro.core.locations import Location
 from repro.lang.ast_nodes import (
     ROOT_SID,
@@ -581,13 +581,45 @@ def record_from_doc(doc: Dict[str, Any]) -> TransformationRecord:
 
 
 def history_to_doc(history: History) -> Dict[str, Any]:
-    """The full stamped history as a JSON-safe dict."""
-    return {"records": [record_to_doc(r) for r in history.all_records()]}
+    """The stamped history as a JSON-safe dict.
+
+    Records held in full are encoded; stored (undone) records are
+    covered by their runs' rows (:mod:`repro.service.undone`), a key
+    left out when there are none.
+    """
+    doc = {"records": [record_to_doc(r) for r in history.all_records()
+                       if not isinstance(r, StoredRecord)]}
+    rows = undone_rows(history)
+    if rows:
+        doc["undone"] = rows
+    return doc
 
 
-def history_from_doc(doc: Dict[str, Any]) -> History:
-    """Rebuild a :class:`History`, deriving the next free stamp."""
-    return History.restore([record_from_doc(r) for r in doc["records"]])
+def undone_rows(history: History) -> List[List[Any]]:
+    """The rows of the side-file runs ``history``'s stubs belong to."""
+    runs: Dict[int, Any] = {}
+    for rec in history.all_records():
+        if isinstance(rec, StoredRecord):
+            runs.setdefault(id(rec.store), rec.store)
+    return [run.row() for run in runs.values()]
+
+
+def history_from_doc(doc: Dict[str, Any], undone=None) -> History:
+    """Rebuild a :class:`History`, deriving the next free stamp.
+
+    The rows of ``doc["undone"]`` become stubs reading ``undone`` (a
+    :class:`~repro.service.undone.UndoneFile`).
+    """
+    records = [record_from_doc(r) for r in doc["records"]]
+    rows = doc.get("undone", [])
+    if rows:
+        if undone is None:
+            raise SerdeError("history names undone records but no side "
+                             "file was given")
+        for run in undone.runs(rows):
+            records.extend(run.stubs())
+        records.sort(key=lambda r: r.stamp)
+    return History.restore(records)
 
 
 def store_to_doc(store: AnnotationStore) -> List[Dict[str, Any]]:
@@ -634,7 +666,7 @@ def engine_to_doc(engine) -> Dict[str, Any]:
 
 
 def engine_from_doc(doc: Dict[str, Any], strategy=None, *, tracer=None,
-                    metrics=None):
+                    metrics=None, undone=None):
     """Rebuild a fully working engine from :func:`engine_to_doc` output.
 
     The restored engine shares nothing with the document: applying,
@@ -643,11 +675,13 @@ def engine_from_doc(doc: Dict[str, Any], strategy=None, *, tracer=None,
     caches and events are *not* persisted — caches rebuild lazily on
     first use, and the event log restarts from its persisted digest.
     ``tracer``/``metrics`` are handed to the engine's constructor.
+    Undone records the document covers by rows stay in ``undone``, the
+    session's side file, until read.
     """
     from repro.core.engine import TransformationEngine
 
     program = program_from_doc(doc["program"])
-    history = history_from_doc(doc["history"])
+    history = history_from_doc(doc["history"], undone)
     store = store_from_doc(doc["annotations"])
     events = EventLog(digest=events_digest(doc))
     engine = TransformationEngine(program, strategy=strategy,
@@ -669,7 +703,8 @@ def engine_from_doc(doc: Dict[str, Any], strategy=None, *, tracer=None,
 # ``delta_of``          journal seq of the base full snapshot;
 # ``program``           row form with only the *changed* rows, plus the
 #                       (small) roots/detached lists and counters;
-# ``history``           dirty records keyed by str(stamp);
+# ``history``           dirty records held in full, keyed by str(stamp);
+# ``undone``            every side-file run row (the rows are few);
 # ``annotations_ops``   tail of the store's append-only oplog, as
 #                       ``["add"|"remove", annotation_doc]`` pairs;
 # ``events_digest``     the event log's chained digest (``events_base``
@@ -705,11 +740,18 @@ def resolve_snapshot_delta(base: Dict[str, Any],
         rowsdoc[key] = dprog[key]
     program_doc = rows_to_program_doc(rowsdoc)
 
-    # History: replace dirty records by stamp, append new ones.
+    # History: replace dirty records by stamp, append new ones; the
+    # delta's rows (an older delta has none: the base's) cover the
+    # stamps now in the side file.
     records = {r["stamp"]: r for r in base_engine["history"]["records"]}
     for stamp_key, rdoc in dhist.items():
         records[int(stamp_key)] = rdoc
-    history_doc = {"records": [records[s] for s in sorted(records)]}
+    rows = delta.get("undone", base_engine["history"].get("undone", []))
+    for stamp, count, *_rest in rows:
+        for covered in range(stamp, stamp + count):
+            records.pop(covered, None)
+    history_doc = {"records": [records[s] for s in sorted(records)],
+                   "undone": rows}
 
     # Annotations: replay the oplog tail over the base's live list.
     anns = list(base_engine["annotations"])

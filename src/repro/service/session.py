@@ -39,7 +39,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.commands import BatchResult, Command, EditCommand
 from repro.core.engine import TransformationEngine
-from repro.core.history import TransformationRecord
+from repro.core.history import StoredRecord, TransformationRecord
 from repro.core.reverse_undo import ReverseUndoReport
 from repro.core.undo import UndoReport, UndoStrategy
 from repro.edit.edits import EditReport
@@ -63,6 +63,7 @@ from repro.service.recovery import (
     read_meta,
     recover,
     strategy_to_doc,
+    undone_file,
     write_meta,
 )
 from repro.service.serde import (
@@ -70,6 +71,7 @@ from repro.service.serde import (
     engine_to_doc,
     record_to_doc,
     stmt_to_row,
+    undone_rows,
 )
 from repro.service.snapshot import SnapshotStore
 
@@ -120,6 +122,9 @@ class DurableSession:
         self.journal = Journal(os.path.join(dirpath, JOURNAL_FILE),
                                fsync_every=int(meta.get("fsync_every", 8)),
                                metrics=engine.metrics)
+        #: the side file undone records are written to, once each.
+        self.undone = recovery.undone if recovery is not None else \
+            undone_file(dirpath, meta, engine.strategy, engine.metrics)
         #: journaled commands, counted next to ``seq`` (a command whose
         #: append failed still counts, so poisoning shows as journal lag).
         self._commands = engine.metrics.counter(
@@ -359,12 +364,18 @@ class DurableSession:
         recovery loaded) is still on disk and fewer than
         ``SNAPSHOT_FULL_EVERY - 1`` deltas followed it; otherwise a full
         snapshot is cut and becomes the base.  The ordering is
-        load-bearing: the journal is fsynced through ``seq`` *before*
-        the snapshot is written and renamed, and only then are old
-        snapshots pruned — so a durable snapshot never covers a command
-        the journal could still lose.  The journal is never truncated,
-        so a fallback from a corrupt newest snapshot can always replay
-        forward from an older one.
+        load-bearing:
+
+        1. the journal is fsynced through ``seq``;
+        2. the records undone since the last snapshot are appended to
+           the side file, with one fsync (none when nothing is new);
+        3. the snapshot is written and renamed;
+        4. old snapshots are pruned.
+
+        So a durable snapshot never covers a command the journal could
+        still lose, nor names a side-file line that is not on disk.  The
+        journal is never truncated, so a fallback from a corrupt newest
+        snapshot can always replay forward from an older one.
         """
         if self.seq == 0 or self.seq == self._snapshot_seq:
             self._since_snapshot = 0
@@ -375,6 +386,7 @@ class DurableSession:
                     and (base.full_seq, None) in self.snapshots.entries())
         with self.tracer.span("snapshot"):
             self.journal.sync()
+            self.undone.append(self.engine.history)
             if as_delta:
                 path = self.snapshots.write(self.seq,
                                             self._delta_payload(base),
@@ -421,8 +433,9 @@ class DurableSession:
                     and program._infos[sid].parent is None]
         dirty_stamps = set(base.stamps)
         dirty_stamps.update(engine.history.mutations[cursors["hist"]:])
-        history = {str(stamp): record_to_doc(engine.history.by_stamp(stamp))
-                   for stamp in dirty_stamps}
+        records = [engine.history.by_stamp(stamp) for stamp in dirty_stamps]
+        history = {str(rec.stamp): record_to_doc(rec) for rec in records
+                   if not isinstance(rec, StoredRecord)}
         ops = base.ops + [[op, annotation_to_doc(ann)]
                           for op, ann in engine.store.oplog[cursors["anns"]:]]
         applier = engine.applier
@@ -437,6 +450,7 @@ class DurableSession:
                         "version": program.version,
                         "version_hwm": program._version_hwm},
             "history": history,
+            "undone": undone_rows(engine.history),
             "annotations_ops": ops,
             "events_digest": engine.events.digest,
             "events_base": base.events_digest,

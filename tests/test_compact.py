@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.commands import EditCommand, UndoCommand
 from repro.core.engine import TransformationEngine
+from repro.core.history import StoredRecord
 from repro.lang.ast_nodes import (
     Assign,
     Const,
@@ -157,6 +158,28 @@ def test_maintainer_primes_from_restored_history(tmp_path):
     maintainer = FingerprintMaintainer(reopened.engine)
     assert maintainer.current() == state_fingerprint(reopened.engine)
     reopened.apply("cse", 0)
+    assert maintainer.current() == state_fingerprint(reopened.engine)
+    reopened.close()
+
+
+def test_maintainer_over_side_file_stubs(tmp_path):
+    """Undone records held as side-file stubs digest as the records did:
+    across the snapshot that stores them, and primed after a reopen."""
+    s = DurableSession.create(str(tmp_path), SRC, snapshot_every=0)
+    maintainer = FingerprintMaintainer(s.engine)
+    for stamp in apply_greedy(s.engine, 4, seed=3)[:2]:
+        if s.engine.history.by_stamp(stamp).active:
+            s.undo(stamp)
+    s.snapshot()
+    assert maintainer.current() == state_fingerprint(s.engine)
+    s.close()
+    reopened = DurableSession.open(str(tmp_path))
+    history = reopened.engine.history
+    assert any(isinstance(r, StoredRecord) for r in history.all_records())
+    maintainer = FingerprintMaintainer(reopened.engine)
+    assert maintainer.current() == state_fingerprint(reopened.engine)
+    reopened.undo(history.active()[0].stamp)
+    reopened.snapshot()
     assert maintainer.current() == state_fingerprint(reopened.engine)
     reopened.close()
 

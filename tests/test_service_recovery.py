@@ -529,6 +529,75 @@ class TestV3EventLists:
         reopened.close()
 
 
+class TestV4SideFile:
+    """The checked-in v4 fixture is the first written with the
+    undone-record side file: run rows in its full and delta snapshots,
+    two records in ``undone.jsonl``, and a journal tail that undoes a
+    third."""
+
+    FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+    @pytest.fixture()
+    def v4_dir(self, tmp_path):
+        work = str(tmp_path / "v4")
+        shutil.copytree(os.path.join(self.FIXTURES, "v4_session"), work)
+        return work
+
+    @pytest.fixture()
+    def expected(self):
+        import json
+
+        with open(os.path.join(self.FIXTURES, "v4_expected.json")) as fh:
+            return json.load(fh)
+
+    def test_fixture_carries_side_file_and_rows(self, v4_dir):
+        store = SnapshotStore(os.path.join(v4_dir, "snapshots"))
+        (fseq, fbase), (dseq, dbase) = store.entries()
+        assert fbase is None and dbase == fseq
+        full = store.load(fseq)["engine"]["history"]
+        assert [r["stamp"] for r in full["records"]] == [2]
+        assert [row[:3] for row in full["undone"]] == [[1, 1, "ctp"]]
+        delta = store.load(dseq)
+        assert [row[:3] for row in delta["undone"]] == \
+            [[1, 1, "ctp"], [2, 1, "cse"]]
+        with open(os.path.join(v4_dir, "undone.jsonl"), "rb") as fh:
+            assert len(fh.read().splitlines()) == 2
+
+    def test_opens_verified(self, v4_dir, expected):
+        from repro.core.history import StoredRecord
+
+        session = DurableSession.open(v4_dir)
+        stubs = [r.stamp for r in session.engine.history.all_records()
+                 if isinstance(r, StoredRecord)]
+        assert stubs == [1, 2]
+        session.close()
+        session = DurableSession.open(v4_dir, verify=True)
+        assert session.recovery.verified is True
+        assert session.recovery.snapshot_seq == 6
+        assert session.seq == expected["seq"]
+        assert [cmd["op"] for cmd in session.log()] == expected["ops"]
+        assert state_fingerprint(session.engine) == expected["fingerprint"]
+        assert session.source() == expected["source"]
+        assert [(r.stamp, r.name, r.active)
+                for r in session.engine.history.all_records()] == \
+            [tuple(r) for r in expected["records"]]
+        session.close()
+
+    def test_next_snapshot_appends_only_the_new_record(self, v4_dir):
+        path = os.path.join(v4_dir, "undone.jsonl")
+        with open(path, "rb") as fh:
+            old = fh.read()
+        session = DurableSession.open(v4_dir)
+        session.snapshot()
+        session.close()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        assert data.startswith(old)
+        assert data[len(old):].endswith(b',"stamp":4}\n')
+        assert data.count(b"\n") == 3
+        assert DurableSession.open(v4_dir, verify=True).recovery.verified
+
+
 class TestSnapshotRewrite:
     @pytest.mark.parametrize("first,second", [(None, 3), (3, None)])
     def test_a_rewrite_leaves_one_file_per_seq(self, tmp_path, first,
